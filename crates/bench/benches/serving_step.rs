@@ -12,7 +12,7 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 
 const PROMPT_LEN: usize = 32;
 const GEN_TOKENS: usize = 6;
@@ -24,7 +24,7 @@ fn request(i: u64) -> Request {
     Request::new(i, prompt, GenerationConfig::new(GEN_TOKENS))
 }
 
-fn server_with_batch(model: &TransformerModel, batch: usize) -> Server<'_> {
+fn engine_with_batch(model: &TransformerModel, batch: usize) -> Engine<'_> {
     let bytes = model.empty_cache().bytes_per_token();
     // Pool sized to hold exactly `batch` budgeted sessions at steady state.
     let capacity = CacheBudgetSpec::with_fraction(0.5)
@@ -37,25 +37,27 @@ fn server_with_batch(model: &TransformerModel, batch: usize) -> Server<'_> {
         batch * capacity * bytes,
     )
     .with_prefills_per_step(batch);
-    Server::new(model, config).expect("valid serving config")
+    let mut engine = Engine::new(model, config).expect("valid serving config");
+    engine.record_events(false);
+    engine
 }
 
-/// One batched scheduler step at a steady batch size: the server is refilled so
+/// One batched scheduler step at a steady batch size: the engine is refilled so
 /// every measured iteration decodes `batch` sessions.
 fn serving_step(c: &mut Criterion) {
     let model = ModelFamily::Tiny.build(21);
     let mut group = c.benchmark_group("serving_step");
     for &batch in &[1usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("step", batch), &batch, |b, &batch| {
-            let mut server = server_with_batch(&model, batch);
+            let mut engine = engine_with_batch(&model, batch);
             let mut next_id = 0u64;
             b.iter(|| {
                 // Keep the queue topped up so the batch never shrinks.
-                while server.queued() + server.running() < batch {
-                    server.submit(request(next_id)).expect("no overrides");
+                while engine.queued() + engine.running() < batch {
+                    engine.submit(request(next_id)).expect("no overrides");
                     next_id += 1;
                 }
-                server.step()
+                engine.step()
             });
         });
     }
@@ -79,13 +81,14 @@ fn serving_burst(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("drain8", label), |b| {
             b.iter(|| {
-                let mut server =
-                    Server::new(&model, ServerConfig::new(policy, budget, pool)).expect("valid");
+                let mut engine =
+                    Engine::new(&model, ServerConfig::new(policy, budget, pool)).expect("valid");
+                engine.record_events(false);
                 for i in 0..8 {
-                    server.submit(request(i)).expect("no overrides");
+                    engine.submit(request(i)).expect("no overrides");
                 }
-                server.run(512);
-                server.completions().len()
+                engine.run(512);
+                engine.completions().len()
             });
         });
     }

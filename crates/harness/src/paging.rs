@@ -27,7 +27,7 @@ use crate::serving::{serving_policies, MODEL_SEED};
 use keyformer_core::cache::KvDtype;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Prompt length of every synthetic paging request (matches the serving
@@ -154,16 +154,17 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
             pool_bytes,
             ..config
         };
-        let mut server = Server::new(&model, config).expect("paging config is valid");
+        let mut engine = Engine::new(&model, config).expect("paging config is valid");
+        engine.record_events(false);
         for request in request_stream(num_requests) {
-            server
+            engine
                 .submit(request)
                 .expect("synthetic requests carry no overrides");
         }
-        server.run(step_budget);
-        let stats = *server.stats();
-        let pool = server.pool_stats();
-        let completed = server.completions().len();
+        engine.run(step_budget);
+        let stats = *engine.stats();
+        let pool = engine.pool_stats();
+        let completed = engine.completions().len();
         let summary = PagingSummary {
             config: label,
             block_size: config.block_size,
@@ -174,7 +175,7 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
             steps: stats.steps,
             requests_per_step: completed as f64 / stats.steps.max(1) as f64,
             utilization: stats.mean_pool_utilization(),
-            capacity_blocks: server.total_blocks(),
+            capacity_blocks: engine.total_blocks(),
             peak_blocks: pool.peak_in_use,
             overshoot_blocks: pool.peak_overshoot(),
             block_allocs: pool.total_allocs,

@@ -31,7 +31,7 @@ use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Total prompt length of every request (matches the serving experiment).
@@ -149,22 +149,23 @@ pub fn prefix_sharing_report(samples: usize) -> (Table, Vec<PrefixSummary>) {
     for (prefix_len, fanout) in sweep() {
         for sharing in [false, true] {
             let config = base.with_prefix_sharing(sharing);
-            let mut server = Server::new(&model, config).expect("prefix config is valid");
+            let mut engine = Engine::new(&model, config).expect("prefix config is valid");
+            engine.record_events(false);
             // `samples` groups of `fanout` requests; each group shares one
             // system prompt, groups never share with each other.
             for group in 0..samples {
                 for request in
                     shared_prompt_stream(group as u32, fanout, prefix_len, (group * fanout) as u64)
                 {
-                    server
+                    engine
                         .submit(request)
                         .expect("synthetic requests carry no overrides");
                 }
             }
-            server.run(step_budget);
-            let stats = *server.stats();
-            let pool = server.pool_stats();
-            let completed = server.completions().len();
+            engine.run(step_budget);
+            let stats = *engine.stats();
+            let pool = engine.pool_stats();
+            let completed = engine.completions().len();
             let label = format!(
                 "prefix{prefix_len}/fan{fanout}/{}",
                 if sharing { "shared" } else { "cold" }

@@ -28,7 +28,7 @@ use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer_text::datasets::Sample;
 use keyformer_text::rouge::{rouge_scores, RougeScores};
@@ -133,17 +133,18 @@ fn serve_point(
     let config = ServerConfig::new(policy, budget, pool_bytes)
         .with_prefills_per_step(2)
         .with_kv_dtype(dtype);
-    let mut server = Server::new(model, config).expect("quantization config is valid");
-    let capacity_blocks = server.total_blocks();
+    let mut engine = Engine::new(model, config).expect("quantization config is valid");
+    engine.record_events(false);
+    let capacity_blocks = engine.total_blocks();
     for request in request_stream(num_requests) {
-        server
+        engine
             .submit(request)
             .expect("synthetic requests carry no overrides");
     }
-    server.run(step_budget);
-    let stats = *server.stats();
+    engine.run(step_budget);
+    let stats = *engine.stats();
     (
-        server.completions().len(),
+        engine.completions().len(),
         stats.steps,
         stats.mean_pool_utilization(),
         stats.peak_concurrency,

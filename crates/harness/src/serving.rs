@@ -16,7 +16,7 @@ use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Weight seed of the serving experiment's model.
@@ -40,7 +40,7 @@ pub struct PolicyServingSummary {
     pub submitted: usize,
     /// Requests completed within the step budget.
     pub completed: usize,
-    /// Scheduler steps executed (= the step budget unless the server went idle).
+    /// Scheduler steps executed (= the step budget unless the engine went idle).
     pub steps: usize,
     /// Requests completed per scheduler step — the headline throughput metric.
     pub requests_per_step: f64,
@@ -133,17 +133,18 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
     );
     let mut summaries = Vec::new();
     for (label, policy, budget) in serving_policies() {
-        let mut server = Server::new(&model, ServerConfig::new(policy, budget, pool_bytes))
+        let mut engine = Engine::new(&model, ServerConfig::new(policy, budget, pool_bytes))
             .expect("serving config is valid");
+        engine.record_events(false);
         for request in request_stream(num_requests) {
-            server
+            engine
                 .submit(request)
                 .expect("synthetic requests carry no overrides");
         }
-        server.run(step_budget);
-        let stats = *server.stats();
-        let pool = server.pool_stats();
-        let completions = server.completions();
+        engine.run(step_budget);
+        let stats = *engine.stats();
+        let pool = engine.pool_stats();
+        let completions = engine.completions();
         let completed = completions.len();
         let mean_latency = if completed == 0 {
             0.0

@@ -207,7 +207,7 @@ pub fn spawn_pump(
         .name("kf-serve-pump".into())
         .spawn(move || {
             let model = family.build(model_seed);
-            let mut engine = match Engine::new(&model, config) {
+            let engine = match Engine::new(&model, config) {
                 Ok(engine) => {
                     let _ = init_tx.send(Ok(()));
                     engine
@@ -217,7 +217,6 @@ pub fn spawn_pump(
                     return;
                 }
             };
-            engine.record_events(true);
             let mut pump = Pump {
                 engine,
                 shared,

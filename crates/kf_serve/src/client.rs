@@ -95,7 +95,7 @@ impl Client {
     /// Reads a response head, returning the status code and the announced
     /// content length (`None` for chunked bodies).
     fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usize>, bool)> {
-        let status_line = crate::http::read_line(reader)?
+        let status_line = crate::http::read_line(reader, crate::http::MAX_BODY_BYTES)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no status line"))?;
         let status = status_line
             .split_whitespace()
@@ -110,7 +110,7 @@ impl Client {
         let mut content_length = None;
         let mut chunked = false;
         loop {
-            let line = crate::http::read_line(reader)?
+            let line = crate::http::read_line(reader, crate::http::MAX_BODY_BYTES)?
                 .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "inside headers"))?;
             if line.is_empty() {
                 break;
@@ -200,7 +200,7 @@ impl Client {
         };
         let mut pending = String::new();
         loop {
-            let size_line = crate::http::read_line(&mut reader)?
+            let size_line = crate::http::read_line(&mut reader, crate::http::MAX_BODY_BYTES)?
                 .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "inside chunks"))?;
             let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
                 io::Error::new(
@@ -246,7 +246,7 @@ impl Client {
         writer.shutdown(std::net::Shutdown::Write)?;
         let mut reader = BufReader::new(stream);
         let mut responses = Vec::new();
-        while let Some(line) = crate::http::read_line(&mut reader)? {
+        while let Some(line) = crate::http::read_line(&mut reader, crate::http::MAX_BODY_BYTES)? {
             if line.trim().is_empty() {
                 continue;
             }

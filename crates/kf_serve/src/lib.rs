@@ -37,8 +37,8 @@ use jobs::{JobState, JobTable};
 use keyformer_model::families::ModelFamily;
 use keyformer_serve::ServerConfig;
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -275,6 +275,7 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
                             message: "connection limit reached; retry shortly".to_string(),
                         };
                         let _ = http::write_response(&mut stream, fault.status, &fault.body());
+                        linger_close(&stream);
                         continue;
                     }
                     let node = Arc::clone(&node);
@@ -312,6 +313,87 @@ impl Drop for SlotGuard {
     }
 }
 
+/// Longest a connection closed with request bytes possibly still in flight
+/// waits for its peer to finish; see [`linger_close`].
+const LINGER_TIME: Duration = Duration::from_millis(100);
+
+/// Most bytes [`linger_close`] discards before closing anyway.
+const LINGER_BYTES: usize = 64 << 10;
+
+/// Closes a connection whose peer may still be sending. Closing a socket with
+/// unread input makes the kernel send RST, which can destroy the response
+/// just written before the peer reads it. Shutting down the write side first
+/// ends the response with FIN; the drain then reads what the peer still
+/// sends until it closes, for at most [`LINGER_TIME`] and [`LINGER_BYTES`],
+/// so the caller is never held for long.
+fn linger_close(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIME;
+    let mut sink = [0u8; 4096];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
+/// How a connection opens; see [`read_opening`].
+enum Opening {
+    /// An HTTP request line.
+    Http(String),
+    /// The first op line of an NDJSON session.
+    Ndjson(String),
+    /// A first line past its protocol's bound (`ndjson` says which).
+    TooLong {
+        /// `true` when the line opened an NDJSON session.
+        ndjson: bool,
+    },
+}
+
+/// Reads a connection's first line. Its first non-blank byte picks the
+/// protocol, and with it the bound: a `{` opens an NDJSON session, whose op
+/// lines may reach [`http::MAX_BODY_BYTES`]; anything else is an HTTP request
+/// line, cut at the head-line bound. `None` at EOF or on a read error.
+fn read_opening(r: &mut impl BufRead) -> Option<Opening> {
+    let mut buf = Vec::new();
+    let mut complete = http::read_line_into(r, &mut buf, http::MAX_HEAD_LINE_BYTES).ok()?;
+    if buf.is_empty() {
+        return None;
+    }
+    let ndjson = buf.trim_ascii_start().first() == Some(&b'{');
+    if ndjson && !complete {
+        complete = http::read_line_into(r, &mut buf, http::MAX_BODY_BYTES).ok()?;
+    }
+    if !complete {
+        return Some(Opening::TooLong { ndjson });
+    }
+    let line = http::finish_line(buf).ok()?;
+    Some(if ndjson {
+        Opening::Ndjson(line)
+    } else {
+        Opening::Http(line)
+    })
+}
+
+/// The NDJSON error line for an op line past [`http::MAX_BODY_BYTES`].
+fn ndjson_line_too_long() -> String {
+    api::WireFault {
+        status: 413,
+        code: "line_too_long",
+        message: format!(
+            "op line exceeds {} bytes; closing the session",
+            http::MAX_BODY_BYTES
+        ),
+    }
+    .body()
+}
+
 /// Dispatches one fresh connection to the protocol its first line selects: a
 /// `{` opens a persistent NDJSON session, anything else is one HTTP exchange.
 fn handle_connection(stream: TcpStream, node: &Arc<NodeShared>) {
@@ -321,13 +403,19 @@ fn handle_connection(stream: TcpStream, node: &Arc<NodeShared>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let Ok(Some(first)) = http::read_line(&mut reader) else {
-        return;
-    };
-    if first.trim_start().starts_with('{') {
-        ndjson_session(&first, &mut reader, &mut writer, node);
-    } else {
-        http_exchange(&first, &mut reader, &mut writer, node);
+    match read_opening(&mut reader) {
+        None => {}
+        Some(Opening::Ndjson(first)) => ndjson_session(&first, &mut reader, &mut writer, node),
+        Some(Opening::Http(first)) => http_exchange(&first, &mut reader, &mut writer, node),
+        Some(Opening::TooLong { ndjson: true }) => {
+            let _ = writeln!(writer, "{}", ndjson_line_too_long());
+            linger_close(&writer);
+        }
+        Some(Opening::TooLong { ndjson: false }) => {
+            let fault = http::request_line_too_long();
+            let _ = http::write_response(&mut writer, fault.status, &fault.body());
+            linger_close(&writer);
+        }
     }
 }
 
@@ -340,13 +428,10 @@ fn http_exchange(
 ) {
     let request = match http::parse_http(first, reader) {
         Ok(request) => request,
-        Err(message) => {
-            let fault = api::WireFault {
-                status: 400,
-                code: "malformed_request",
-                message,
-            };
+        Err(fault) => {
             let _ = http::write_response(writer, fault.status, &fault.body());
+            // Rejected requests may leave header or body bytes unread.
+            linger_close(writer);
             return;
         }
     };
@@ -516,9 +601,19 @@ fn ndjson_session(
         if !line.trim().is_empty() && ndjson_op(line.trim(), writer, node).is_err() {
             return;
         }
-        match http::read_line(reader) {
-            Ok(Some(next)) => line = next,
-            Ok(None) | Err(_) => return,
+        let mut buf = Vec::new();
+        match http::read_line_into(reader, &mut buf, http::MAX_BODY_BYTES) {
+            Ok(true) if buf.is_empty() => return,
+            Ok(true) => match http::finish_line(buf) {
+                Ok(next) => line = next,
+                Err(_) => return,
+            },
+            Ok(false) => {
+                let _ = writeln!(writer, "{}", ndjson_line_too_long());
+                linger_close(writer);
+                return;
+            }
+            Err(_) => return,
         }
     }
 }

@@ -463,6 +463,47 @@ fn malformed_and_unknown_requests_answer_structured_errors() {
     handle.shutdown();
 }
 
+/// An over-long request line is answered `431`, and an over-long NDJSON op
+/// line gets an error line, each read only up to its bound. The peer
+/// half-closes after its bytes, so the answer must arrive intact.
+#[test]
+fn over_long_lines_answer_structured_errors() {
+    use std::io::{Read, Write};
+
+    let handle = boot(pool_config(160), true);
+    let exchange = |bytes: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(bytes).expect("write");
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("read reply");
+        reply
+    };
+
+    // 16 KiB of request line with no newline: past the 8 KiB head bound.
+    let mut line = b"GET /".to_vec();
+    line.resize(16 << 10, b'a');
+    let reply = exchange(&line);
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+    assert!(reply.contains("header_too_large"), "{reply}");
+
+    // One NDJSON op line past the body bound.
+    let mut line = b"{\"op\":\"stats\",\"pad\":\"".to_vec();
+    line.resize(kf_serve::http::MAX_BODY_BYTES + 16, b'a');
+    let reply = exchange(&line);
+    let first = reply.lines().next().unwrap_or_default();
+    let value: Value = serde_json::from_str(first).expect("an error line");
+    assert_eq!(str_field(&value, "error"), Some("line_too_long"));
+
+    // The node still serves ordinary requests afterwards.
+    let (status, _) = handle.client().stats().expect("stats");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn ndjson_fallback_session_supports_all_ops() {
     let engine_config = pool_config(160);

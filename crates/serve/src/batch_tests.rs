@@ -1,276 +1,36 @@
-//! The batch-oriented compatibility facade over the event-driven [`Engine`].
+//! Batch-driver scheduling scenarios for [`Engine`](crate::Engine): event
+//! recording off, submit, step to idle, harvest
+//! [`Engine::completions`](crate::Engine::completions) — exactly how the
+//! harness experiments and the serving bench drive it. They cover
+//! configuration validation, block-reservation admission, FIFO order, bad
+//! requests, per-request overrides, chunked prefill, the strict pool,
+//! preemption and prefix sharing. `engine.rs` holds the streaming-side tests
+//! (events, cancellation, deadlines, priorities, parallel decode).
 //!
-//! [`Server`] is the pre-engine serving API: a FIFO (or
-//! shortest-prefill-first) admission queue, block-reservation admission
-//! against a shared paged pool, chunked prefill, copy-on-write prefix sharing
-//! and preemption under pressure — all documented in detail on [`Engine`],
-//! which owns the single scheduling implementation. Under the default
-//! [`crate::AdmissionOrder::Fifo`] the facade schedules **bit-identically**
-//! to the pre-engine scheduler (every submission carries the default
-//! priority, and priority aging never reorders a single-level queue; the
-//! serving/paging/prefix BENCH artefacts regenerate byte-for-byte).
-//! [`crate::AdmissionOrder::ShortestPrefillFirst`] now *ages* — each queued
-//! step shrinks a request's effective remaining-prefill key — an intentional
-//! anti-starvation change from the earlier SPF behaviour. The facade differs
-//! from the engine only in its interaction model:
-//!
-//! * [`Server::submit`] returns `()` instead of a [`crate::RequestHandle`] —
-//!   results are harvested retrospectively from [`Server::completions`] after
-//!   the [`Server::step`] loop, exactly as before;
-//! * event recording is disabled ([`Engine::record_events`]), so driving a
-//!   server for millions of steps without draining anything never grows a
-//!   buffer.
-//!
-//! The facade inherits the engine's plan → execute → commit decode pipeline
-//! unchanged: [`ServerConfig::with_decode_workers`] widens the per-step
-//! worker pool and the completions stay byte-identical at any width (the
-//! scheduler itself stays serialized — see the [`Engine`] docs).
-//!
-//! New code that wants streaming per-token [`crate::Event`]s, mid-flight
-//! [`Engine::cancel`], [`crate::SubmitOptions`] priorities or deadlines
-//! should use [`Engine`] directly (`docs/SERVING.md` has a migration note);
-//! [`Server::engine`]/[`Server::engine_mut`]/[`Server::into_engine`] expose
-//! the wrapped engine for incremental migration.
-//!
-//! The admission *reservation* of a request is its steady-state decode
-//! footprint in blocks: with a [`CacheBudgetSpec`], the per-layer capacity
-//! derived from the prompt length; without one, the full
-//! `prompt + max_new_tokens` slots — each rounded up to whole blocks per
-//! layer. Prefill transiently exceeds the steady state for budgeted policies
-//! (the cache fills to the whole prompt before the end-of-prompt eviction),
-//! exactly as in the paper. Under the default
-//! [`OvercommitPolicy::AllowTransient`] discipline that spike is absorbed and
-//! *measured* ([`BlockPoolStats::peak_overshoot`]); with
-//! [`ServerConfig::with_strict_pool`] it is *enforced* — allocations past the
-//! pool hard-stop, chunked prefill pauses, and in-use blocks provably never
-//! exceed the pool (see `docs/SERVING.md`).
-//!
-//! This is what turns Keyformer's reduced KV footprint into throughput: at a
-//! fixed pool, a 50% budget reserves roughly half the blocks per sequence, so
-//! the same pool runs roughly twice the batch — and blocks freed by an
-//! eviction are instantly reusable by any other sequence instead of being
-//! stranded in a contiguous per-sequence buffer.
-//!
-//! [`CacheBudgetSpec`]: keyformer_core::budget::CacheBudgetSpec
-//! [`OvercommitPolicy::AllowTransient`]: keyformer_core::block::OvercommitPolicy::AllowTransient
-//! [`BlockPoolStats::peak_overshoot`]: keyformer_core::block::BlockPoolStats::peak_overshoot
+//! `lib.rs` mounts this file as the test-only module `server`, so these tests
+//! keep the names they had when they drove the former batch facade.
 
-use crate::engine::{Engine, ServerConfig, ServerStats, StepReport};
-use crate::request::{Completion, FailedRequest, Request, RequestId};
-use keyformer_core::block::{BlockPoolStats, SharedBlockPool};
-use keyformer_core::prefix::{PrefixRegistryStats, SharedPrefixRegistry};
-use keyformer_core::CoreError;
-use keyformer_model::model::TransformerModel;
-
-/// A continuous-batching server over one shared model and one shared block
-/// pool: the batch-oriented facade over [`Engine`] (see the [module
-/// docs](self)).
-pub struct Server<'m> {
-    engine: Engine<'m>,
-}
-
-impl<'m> Server<'m> {
-    /// Creates a server over `model` with the given scheduling configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid or
-    /// the byte pool is smaller than a single block.
-    pub fn new(model: &'m TransformerModel, config: ServerConfig) -> Result<Self, CoreError> {
-        let mut engine = Engine::new(model, config)?;
-        // Batch drivers harvest completions(); nothing drains events, so
-        // recording them would grow an unbounded buffer.
-        engine.record_events(false);
-        Ok(Server { engine })
-    }
-
-    /// The wrapped [`Engine`] (read-only).
-    pub fn engine(&self) -> &Engine<'m> {
-        &self.engine
-    }
-
-    /// The wrapped [`Engine`], mutably — e.g. to re-enable event recording or
-    /// cancel a request from code that otherwise drives the batch API.
-    pub fn engine_mut(&mut self) -> &mut Engine<'m> {
-        &mut self.engine
-    }
-
-    /// Unwraps the facade into the [`Engine`] it drives (event recording
-    /// stays off until [`Engine::record_events`] re-enables it).
-    pub fn into_engine(self) -> Engine<'m> {
-        self.engine
-    }
-
-    /// The scheduling configuration.
-    pub fn config(&self) -> &ServerConfig {
-        self.engine.config()
-    }
-
-    /// Bytes one cached token occupies across the model's layers.
-    pub fn bytes_per_token(&self) -> usize {
-        self.engine.bytes_per_token()
-    }
-
-    /// Bytes one block (of one layer) occupies.
-    pub fn bytes_per_block(&self) -> usize {
-        self.engine.bytes_per_block()
-    }
-
-    /// The block capacity the byte pool converts to.
-    pub fn total_blocks(&self) -> usize {
-        self.engine.total_blocks()
-    }
-
-    /// The shared block pool every running session allocates from.
-    pub fn pool(&self) -> &SharedBlockPool {
-        self.engine.pool()
-    }
-
-    /// Snapshot of the pool's allocator accounting.
-    pub fn pool_stats(&self) -> BlockPoolStats {
-        self.engine.pool_stats()
-    }
-
-    /// The prefix registry, when [`ServerConfig::prefix_sharing`] is enabled.
-    pub fn prefix_registry(&self) -> Option<&SharedPrefixRegistry> {
-        self.engine.prefix_registry()
-    }
-
-    /// The registry's counters, when prefix sharing is enabled.
-    pub fn registry_stats(&self) -> Option<PrefixRegistryStats> {
-        self.engine.registry_stats()
-    }
-
-    /// Prompt tokens of `request` a prefix-cache attach would reuse right now
-    /// (full blocks only, and never the final prompt token). 0 without prefix
-    /// sharing.
-    pub fn reusable_prefix_tokens(&self, request: &Request) -> usize {
-        self.engine.reusable_prefix_tokens(request)
-    }
-
-    /// Prompt tokens `request` would still have to forward at admission, after
-    /// any prefix-cache reuse.
-    pub fn remaining_prefill_tokens(&self, request: &Request) -> usize {
-        self.engine.remaining_prefill_tokens(request)
-    }
-
-    /// Blocks reserved for `request` at admission: its steady-state slots
-    /// rounded up to whole blocks, per layer.
-    pub fn reserved_blocks_for(&self, request: &Request) -> usize {
-        self.engine.reserved_blocks_for(request)
-    }
-
-    /// Worst-case blocks `request` ever holds, including the prefill
-    /// transient.
-    pub fn peak_blocks_for(&self, request: &Request) -> usize {
-        self.engine.peak_blocks_for(request)
-    }
-
-    /// Blocks admission actually reserves for `request`; see
-    /// [`Engine::admission_reservation`].
-    pub fn admission_reservation(&self, request: &Request) -> usize {
-        self.engine.admission_reservation(request)
-    }
-
-    /// Steady-state byte reservation of `request` at block granularity.
-    pub fn projected_kv_bytes(&self, request: &Request) -> usize {
-        self.engine.projected_kv_bytes(request)
-    }
-
-    /// Bytes currently reserved by admitted requests, at block granularity.
-    pub fn reserved_bytes(&self) -> usize {
-        self.engine.reserved_bytes()
-    }
-
-    /// Actual live KV bytes across running sessions right now.
-    pub fn live_kv_bytes(&self) -> usize {
-        self.engine.live_kv_bytes()
-    }
-
-    /// Live token slots in *physical* blocks right now; see
-    /// [`Engine::physical_live_slots`].
-    pub fn physical_live_slots(&self) -> usize {
-        self.engine.physical_live_slots()
-    }
-
-    /// Number of requests waiting in the admission queue.
-    pub fn queued(&self) -> usize {
-        self.engine.queued()
-    }
-
-    /// Number of running sessions.
-    pub fn running(&self) -> usize {
-        self.engine.running()
-    }
-
-    /// `true` once no work remains (queue empty, nothing running).
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// Scheduler steps executed so far.
-    pub fn steps(&self) -> usize {
-        self.engine.steps()
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> &ServerStats {
-        self.engine.stats()
-    }
-
-    /// Completed requests, in completion order.
-    pub fn completions(&self) -> &[Completion] {
-        self.engine.completions()
-    }
-
-    /// Requests retired without completing, in retirement order.
-    pub fn failures(&self) -> &[FailedRequest] {
-        self.engine.failures()
-    }
-
-    /// Enqueues a request, validating its per-request overrides. Requests are
-    /// admitted in submission (FIFO) order under the default
-    /// [`crate::AdmissionOrder`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the request's overrides are
-    /// invalid (a policy spec that does not build, or a budget override
-    /// combined with `unbudgeted`); the request is not enqueued.
-    pub fn submit(&mut self, request: Request) -> Result<(), CoreError> {
-        self.engine.submit(request).map(|_| ())
-    }
-
-    /// Cancels an in-flight request; see [`Engine::cancel`].
-    pub fn cancel(&mut self, id: RequestId) -> bool {
-        self.engine.cancel(id)
-    }
-
-    /// Runs one batched scheduler step — prefill continuation, pressure relief
-    /// (registry trim / preemption), admission, and one decode token for every
-    /// running session past its prefill — and reports what happened plus an
-    /// end-of-step memory snapshot.
-    pub fn step(&mut self) -> StepReport {
-        self.engine.step()
-    }
-
-    /// Runs up to `max_steps` scheduler steps, stopping early once idle.
-    /// Returns the number of steps actually executed.
-    pub fn run(&mut self, max_steps: usize) -> usize {
-        self.engine.run(max_steps)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::AdmissionOrder;
-    use crate::request::FailureReason;
+    use crate::engine::{Engine, ServerConfig};
+    use crate::request::{FailureReason, Request};
     use keyformer_core::budget::CacheBudgetSpec;
     use keyformer_core::spec::PolicySpec;
+    use keyformer_core::CoreError;
     use keyformer_model::engine::InferenceEngine;
     use keyformer_model::families::ModelFamily;
     use keyformer_model::generation::GenerationConfig;
+    use keyformer_model::model::TransformerModel;
+
+    /// An engine set up the way batch drivers use it: nothing drains events,
+    /// so recording is off and no event buffer grows.
+    fn batch_engine(
+        model: &TransformerModel,
+        config: ServerConfig,
+    ) -> Result<Engine<'_>, CoreError> {
+        let mut engine = Engine::new(model, config)?;
+        engine.record_events(false);
+        Ok(engine)
+    }
 
     fn prompt(len: usize, salt: u32) -> Vec<u32> {
         (0..len)
@@ -280,9 +40,9 @@ mod tests {
 
     /// 4-slot blocks so the small test pools quantise tightly: with the Tiny
     /// model's budgets below, reservations land exactly on block boundaries.
-    fn keyformer_server(model: &TransformerModel, pool_tokens: usize) -> Server<'_> {
+    fn keyformer_engine(model: &TransformerModel, pool_tokens: usize) -> Engine<'_> {
         let bytes = model.empty_cache().bytes_per_token();
-        Server::new(
+        batch_engine(
             model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),
@@ -297,58 +57,42 @@ mod tests {
     #[test]
     fn empty_server_is_idle_and_stepping_is_harmless() {
         let model = ModelFamily::Tiny.build(1);
-        let mut server = keyformer_server(&model, 64);
-        assert!(server.is_idle());
-        let report = server.step();
+        let mut engine = keyformer_engine(&model, 64);
+        assert!(engine.is_idle());
+        let report = engine.step();
         assert_eq!(report.decode_steps, 0);
         assert_eq!(report.admitted, 0);
         assert_eq!(report.utilization(), 1.0, "empty pool is not fragmented");
         assert!(report.registry.is_none(), "sharing is off by default");
-        assert!(server.completions().is_empty());
-    }
-
-    #[test]
-    fn facade_disables_event_recording() {
-        let model = ModelFamily::Tiny.build(1);
-        let mut server = keyformer_server(&model, 64);
-        assert!(!server.engine().is_recording_events());
-        server
-            .submit(Request::new(1, prompt(12, 0), GenerationConfig::new(2)))
-            .unwrap();
-        server.run(64);
-        assert_eq!(server.engine().pending_events(), 0, "no buffered events");
-        assert_eq!(server.engine_mut().drain_events(), vec![]);
-        // The wrapped engine remains reachable for incremental migration.
-        let engine = server.into_engine();
-        assert_eq!(engine.completions().len(), 1);
+        assert!(engine.completions().is_empty());
     }
 
     #[test]
     fn degenerate_configs_are_rejected() {
         let model = ModelFamily::Tiny.build(1);
         // Zero-byte pool.
-        assert!(Server::new(&model, ServerConfig::new(PolicySpec::Full, None, 0)).is_err());
+        assert!(Engine::new(&model, ServerConfig::new(PolicySpec::Full, None, 0)).is_err());
         // Pool smaller than a single block.
         let bytes = model.empty_cache().bytes_per_token();
-        assert!(Server::new(
+        assert!(Engine::new(
             &model,
             ServerConfig::new(PolicySpec::Full, None, bytes).with_block_size(64),
         )
         .is_err());
         // Zero block size.
-        assert!(Server::new(
+        assert!(Engine::new(
             &model,
             ServerConfig::new(PolicySpec::Full, None, 64 * bytes).with_block_size(0),
         )
         .is_err());
         // Zero prefill chunk.
-        assert!(Server::new(
+        assert!(Engine::new(
             &model,
             ServerConfig::new(PolicySpec::Full, None, 64 * bytes).with_prefill_chunk(0),
         )
         .is_err());
         // Strict pools require chunked prefill.
-        assert!(Server::new(
+        assert!(Engine::new(
             &model,
             ServerConfig::new(PolicySpec::Full, None, 64 * bytes).with_strict_pool(true),
         )
@@ -362,7 +106,7 @@ mod tests {
         let config =
             ServerConfig::new(PolicySpec::Full, None, 64 * bytes).with_prefills_per_step(0);
         assert_eq!(config.prefills_per_step, 0, "builder must not clamp");
-        let err = Server::new(&model, config).map(|_| ()).unwrap_err();
+        let err = Engine::new(&model, config).map(|_| ()).unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
     }
 
@@ -370,24 +114,28 @@ mod tests {
     fn single_request_completes_identically_to_a_fresh_engine() {
         let model = ModelFamily::Tiny.build(2);
         let config = GenerationConfig::new(6);
-        let mut server = keyformer_server(&model, 256);
-        server
+        let mut engine = keyformer_engine(&model, 256);
+        engine
             .submit(Request::new(1, prompt(24, 0), config))
             .unwrap();
-        server.run(64);
-        assert!(server.is_idle());
-        let completions = server.completions();
+        engine.run(64);
+        assert!(engine.is_idle());
+        let completions = engine.completions();
         assert_eq!(completions.len(), 1);
-        let mut engine = InferenceEngine::new(
+        let mut solo = InferenceEngine::new(
             &model,
             PolicySpec::keyformer_default().build().unwrap(),
             Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
         );
-        let alone = engine.generate(&prompt(24, 0), &config);
+        let alone = solo.generate(&prompt(24, 0), &config);
         assert_eq!(completions[0].output, alone);
         // Retirement returned every block to the pool.
-        assert_eq!(server.pool().blocks_in_use(), 0);
-        assert_eq!(server.pool().blocks_reserved(), 0);
+        assert_eq!(engine.pool().blocks_in_use(), 0);
+        assert_eq!(engine.pool().blocks_reserved(), 0);
+        // With recording off, a whole run buffers no event.
+        assert!(!engine.is_recording_events());
+        assert_eq!(engine.pending_events(), 0, "no buffered events");
+        assert_eq!(engine.drain_events(), vec![]);
     }
 
     #[test]
@@ -396,10 +144,10 @@ mod tests {
         // Each request reserves ceil(0.5 * 24) = 12 slots = 3 blocks per layer
         // (block size 4, 2 layers => 6 blocks each); a 30-token pool converts
         // to 15 blocks and therefore fits exactly two requests concurrently.
-        let mut server = keyformer_server(&model, 30);
-        assert_eq!(server.total_blocks(), 15);
+        let mut engine = keyformer_engine(&model, 30);
+        assert_eq!(engine.total_blocks(), 15);
         for i in 0..4 {
-            server
+            engine
                 .submit(Request::new(
                     i,
                     prompt(24, i as u32),
@@ -409,20 +157,20 @@ mod tests {
         }
         let mut max_running = 0;
         let mut max_reserved = 0;
-        while !server.is_idle() {
-            server.step();
-            max_running = max_running.max(server.running());
-            max_reserved = max_reserved.max(server.reserved_bytes());
+        while !engine.is_idle() {
+            engine.step();
+            max_running = max_running.max(engine.running());
+            max_reserved = max_reserved.max(engine.reserved_bytes());
             assert!(
-                server.reserved_bytes() <= server.config().pool_bytes,
+                engine.reserved_bytes() <= engine.config().pool_bytes,
                 "admission overshot the pool"
             );
         }
         assert_eq!(max_running, 2);
-        assert_eq!(max_reserved, 2 * 12 * server.bytes_per_token());
-        assert_eq!(server.completions().len(), 4);
-        assert_eq!(server.stats().peak_concurrency, 2);
-        assert_eq!(server.pool().blocks_in_use(), 0, "pool drained at idle");
+        assert_eq!(max_reserved, 2 * 12 * engine.bytes_per_token());
+        assert_eq!(engine.completions().len(), 4);
+        assert_eq!(engine.stats().peak_concurrency, 2);
+        assert_eq!(engine.pool().blocks_in_use(), 0, "pool drained at idle");
     }
 
     #[test]
@@ -430,9 +178,9 @@ mod tests {
         let model = ModelFamily::Tiny.build(4);
         // Pool fits one request at a time, so completions must follow submission
         // order exactly.
-        let mut server = keyformer_server(&model, 12);
+        let mut engine = keyformer_engine(&model, 12);
         for i in 0..3 {
-            server
+            engine
                 .submit(Request::new(
                     i,
                     prompt(20, i as u32),
@@ -440,10 +188,10 @@ mod tests {
                 ))
                 .unwrap();
         }
-        server.run(256);
-        let ids: Vec<u64> = server.completions().iter().map(|c| c.id.raw()).collect();
+        engine.run(256);
+        let ids: Vec<u64> = engine.completions().iter().map(|c| c.id.raw()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        for c in server.completions() {
+        for c in engine.completions() {
             assert!(c.admitted_step >= c.submitted_step);
             assert!(c.completed_step > c.admitted_step || c.output.generated.len() <= 1);
             assert!(c.latency_steps() >= c.queue_steps());
@@ -453,41 +201,41 @@ mod tests {
     #[test]
     fn oversized_and_malformed_requests_fail_without_panicking() {
         let model = ModelFamily::Tiny.build(5);
-        let mut server = keyformer_server(&model, 8);
+        let mut engine = keyformer_engine(&model, 8);
         // Reserved 0.5 * 200 = 100 slots/layer > 2-block/layer pool: rejected outright.
-        server
+        engine
             .submit(Request::new(1, prompt(200, 1), GenerationConfig::new(4)))
             .unwrap();
         // Empty prompt: engine error at prefill.
-        server
+        engine
             .submit(Request::new(2, Vec::new(), GenerationConfig::new(4)))
             .unwrap();
         // Out-of-vocabulary prompt: engine error at prefill.
-        server
+        engine
             .submit(Request::new(3, vec![9_999], GenerationConfig::new(4)))
             .unwrap();
         // A well-formed request behind the bad ones still completes.
-        server
+        engine
             .submit(Request::new(4, prompt(14, 4), GenerationConfig::new(3)))
             .unwrap();
-        server.run(64);
-        assert!(server.is_idle());
-        assert_eq!(server.failures().len(), 3);
+        engine.run(64);
+        assert!(engine.is_idle());
+        assert_eq!(engine.failures().len(), 3);
         assert!(matches!(
-            server.failures()[0].reason,
+            engine.failures()[0].reason,
             FailureReason::TooLargeForPool { .. }
         ));
         assert!(matches!(
-            server.failures()[1].reason,
+            engine.failures()[1].reason,
             FailureReason::Engine(_)
         ));
-        assert_eq!(server.completions().len(), 1);
-        assert_eq!(server.completions()[0].id.raw(), 4);
+        assert_eq!(engine.completions().len(), 1);
+        assert_eq!(engine.completions()[0].id.raw(), 4);
         // Rejected requests never ran a forward pass, so they must not count as
         // prefills nor consume the step's prefill slot ahead of the valid one.
-        assert_eq!(server.stats().prefills, 1);
-        assert_eq!(server.completions()[0].admitted_step, 1);
-        assert_eq!(server.pool().blocks_reserved(), 0, "no reservation leaked");
+        assert_eq!(engine.stats().prefills, 1);
+        assert_eq!(engine.completions()[0].admitted_step, 1);
+        assert_eq!(engine.pool().blocks_reserved(), 0, "no reservation leaked");
     }
 
     #[test]
@@ -496,13 +244,13 @@ mod tests {
         let bytes = model.empty_cache().bytes_per_token();
         let pool = 64 * bytes;
         let run_with = |budget: Option<CacheBudgetSpec>| {
-            let mut server = Server::new(
+            let mut engine = batch_engine(
                 &model,
                 ServerConfig::new(PolicySpec::keyformer_default(), budget, pool).with_block_size(4),
             )
             .unwrap();
             for i in 0..6 {
-                server
+                engine
                     .submit(Request::new(
                         i,
                         prompt(32, i as u32),
@@ -510,9 +258,9 @@ mod tests {
                     ))
                     .unwrap();
             }
-            server.run(512);
-            assert_eq!(server.completions().len(), 6);
-            server.stats().peak_concurrency
+            engine.run(512);
+            assert_eq!(engine.completions().len(), 6);
+            engine.stats().peak_concurrency
         };
         let full = run_with(None);
         let half = run_with(Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()));
@@ -525,9 +273,9 @@ mod tests {
     #[test]
     fn stats_track_batches_bytes_and_utilization() {
         let model = ModelFamily::Tiny.build(7);
-        let mut server = keyformer_server(&model, 256);
+        let mut engine = keyformer_engine(&model, 256);
         for i in 0..3 {
-            server
+            engine
                 .submit(Request::new(
                     i,
                     prompt(16, i as u32),
@@ -535,8 +283,8 @@ mod tests {
                 ))
                 .unwrap();
         }
-        server.run(64);
-        let stats = server.stats();
+        engine.run(64);
+        let stats = engine.stats();
         assert_eq!(stats.prefills, 3);
         assert_eq!(stats.prefill_chunks, 3, "one-shot: one chunk per prefill");
         // 3 requests x 4 tokens; each request's final token costs a decode step
@@ -550,7 +298,7 @@ mod tests {
             utilization > 0.5 && utilization <= 1.0,
             "implausible utilization {utilization}"
         );
-        let pool_stats = server.pool_stats();
+        let pool_stats = engine.pool_stats();
         assert!(pool_stats.total_allocs >= pool_stats.total_frees);
         assert_eq!(pool_stats.in_use, 0);
     }
@@ -558,44 +306,44 @@ mod tests {
     #[test]
     fn invalid_overrides_are_rejected_at_submit_time() {
         let model = ModelFamily::Tiny.build(8);
-        let mut server = keyformer_server(&model, 64);
+        let mut engine = keyformer_engine(&model, 64);
         let bad_policy = Request::new(1, prompt(10, 0), GenerationConfig::new(2))
             .with_policy(PolicySpec::Damped { alpha: 0.0 });
-        assert!(server.submit(bad_policy).is_err());
+        assert!(engine.submit(bad_policy).is_err());
         let mut contradictory = Request::new(2, prompt(10, 0), GenerationConfig::new(2));
         contradictory.overrides.budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
         contradictory.overrides.unbudgeted = true;
-        assert!(server.submit(contradictory).is_err());
-        assert_eq!(server.queued(), 0, "rejected requests are not enqueued");
+        assert!(engine.submit(contradictory).is_err());
+        assert_eq!(engine.queued(), 0, "rejected requests are not enqueued");
     }
 
     #[test]
     fn per_request_overrides_take_effect() {
         let model = ModelFamily::Tiny.build(9);
         let bytes = model.empty_cache().bytes_per_token();
-        // Server default: full attention, unbudgeted.
-        let mut server = Server::new(
+        // Engine default: full attention, unbudgeted.
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(PolicySpec::Full, None, 512 * bytes).with_block_size(4),
         )
         .unwrap();
         let tight = CacheBudgetSpec::new(0.25, 0.3).unwrap();
         let config = GenerationConfig::new(4);
-        server
+        engine
             .submit(Request::new(0, prompt(32, 0), config))
             .unwrap();
-        server
+        engine
             .submit(
                 Request::new(1, prompt(32, 0), config)
                     .with_policy(PolicySpec::keyformer_default())
                     .with_budget(tight),
             )
             .unwrap();
-        server.run(64);
-        assert!(server.is_idle());
-        assert_eq!(server.completions().len(), 2);
+        engine.run(64);
+        assert!(engine.is_idle());
+        assert_eq!(engine.completions().len(), 2);
         let by_id = |id: u64| {
-            server
+            engine
                 .completions()
                 .iter()
                 .find(|c| c.id.raw() == id)
@@ -610,19 +358,19 @@ mod tests {
         );
         // The overridden request matches a standalone engine with the same
         // policy + budget.
-        let mut engine = InferenceEngine::new(
+        let mut solo = InferenceEngine::new(
             &model,
             PolicySpec::keyformer_default().build().unwrap(),
             Some(tight),
         );
-        assert_eq!(by_id(1).output, engine.generate(&prompt(32, 0), &config));
+        assert_eq!(by_id(1).output, solo.generate(&prompt(32, 0), &config));
         // And the unbudgeted override works in the other direction.
-        let mut budgeted_server = keyformer_server(&model, 512);
-        budgeted_server
+        let mut budgeted_engine = keyformer_engine(&model, 512);
+        budgeted_engine
             .submit(Request::new(7, prompt(32, 0), config).with_unbudgeted())
             .unwrap();
-        budgeted_server.run(64);
-        assert!(budgeted_server.completions()[0]
+        budgeted_engine.run(64);
+        assert!(budgeted_engine.completions()[0]
             .output
             .final_cache_slots
             .iter()
@@ -641,9 +389,9 @@ mod tests {
         )
         .with_block_size(4);
         let run = |config: ServerConfig| {
-            let mut server = Server::new(&model, config).unwrap();
+            let mut engine = batch_engine(&model, config).unwrap();
             for i in 0..4 {
-                server
+                engine
                     .submit(Request::new(
                         i,
                         prompt(28, i as u32),
@@ -651,12 +399,12 @@ mod tests {
                     ))
                     .unwrap();
             }
-            server.run(1024);
-            assert!(server.is_idle());
-            assert!(server.failures().is_empty());
-            let mut completions = server.completions().to_vec();
+            engine.run(1024);
+            assert!(engine.is_idle());
+            assert!(engine.failures().is_empty());
+            let mut completions = engine.completions().to_vec();
             completions.sort_by_key(|c| c.id);
-            (completions, *server.stats())
+            (completions, *engine.stats())
         };
         let (one_shot, one_shot_stats) = run(base);
         let (chunked, chunked_stats) = run(base.with_prefill_chunk(7));
@@ -677,7 +425,7 @@ mod tests {
         // later in scheduler-step terms...
         assert!(chunked[0].completed_step > one_shot[0].completed_step);
         // ...but no single step ever forwards more than chunk + batch tokens,
-        // where the one-shot server forwards prompt_len + batch in its
+        // where the one-shot engine forwards prompt_len + batch in its
         // admission step. (The per-step ceiling is what chunking buys.)
     }
 
@@ -687,7 +435,7 @@ mod tests {
         let bytes = model.empty_cache().bytes_per_token();
         // Tight pool: a 24-token unbudgeted request needs 12 of 16 blocks at
         // its peak, so prefills must pause while decoders hold blocks.
-        let mut server = Server::new(
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(PolicySpec::Full, None, 32 * bytes)
                 .with_block_size(4)
@@ -695,9 +443,9 @@ mod tests {
                 .with_strict_pool(true),
         )
         .unwrap();
-        let capacity = server.total_blocks();
+        let capacity = engine.total_blocks();
         for i in 0..5 {
-            server
+            engine
                 .submit(Request::new(
                     i,
                     prompt(20, i as u32),
@@ -705,23 +453,23 @@ mod tests {
                 ))
                 .unwrap();
         }
-        while !server.is_idle() {
-            server.step();
+        while !engine.is_idle() {
+            engine.step();
             assert!(
-                server.pool().blocks_in_use() <= capacity,
+                engine.pool().blocks_in_use() <= capacity,
                 "strict pool overshot: {} > {capacity}",
-                server.pool().blocks_in_use()
+                engine.pool().blocks_in_use()
             );
         }
-        assert_eq!(server.completions().len(), 5);
-        assert!(server.failures().is_empty());
-        assert_eq!(server.pool_stats().peak_overshoot(), 0);
+        assert_eq!(engine.completions().len(), 5);
+        assert!(engine.failures().is_empty());
+        assert_eq!(engine.pool_stats().peak_overshoot(), 0);
         // Every completion still matches the sequential engine.
-        let mut engine = InferenceEngine::new(&model, PolicySpec::Full.build().unwrap(), None);
-        let alone = engine
+        let mut solo = InferenceEngine::new(&model, PolicySpec::Full.build().unwrap(), None);
+        let alone = solo
             .try_generate(&prompt(20, 0), &GenerationConfig::new(4))
             .unwrap();
-        assert_eq!(server.completions()[0].output, alone);
+        assert_eq!(engine.completions()[0].output, alone);
     }
 
     #[test]
@@ -734,7 +482,7 @@ mod tests {
         // and an admitted request dies as a spurious PoolExhausted failure.
         let model = ModelFamily::Tiny.build(13);
         let bytes = model.empty_cache().bytes_per_token();
-        let mut server = Server::new(
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),
@@ -746,31 +494,31 @@ mod tests {
             .with_strict_pool(true),
         )
         .unwrap();
-        assert_eq!(server.total_blocks(), 14);
+        assert_eq!(engine.total_blocks(), 14);
         // A decodes (capacity 8, reservation 6 blocks) while B's 24-token
         // prompt (peak 12 blocks, reservation 8) prefills alongside it.
-        server
+        engine
             .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(6)))
             .unwrap();
-        server
+        engine
             .submit(Request::new(1, prompt(24, 1), GenerationConfig::new(4)))
             .unwrap();
-        let capacity = server.total_blocks();
-        while !server.is_idle() {
-            server.step();
-            assert!(server.pool().blocks_in_use() <= capacity);
+        let capacity = engine.total_blocks();
+        while !engine.is_idle() {
+            engine.step();
+            assert!(engine.pool().blocks_in_use() <= capacity);
         }
         assert!(
-            server.failures().is_empty(),
+            engine.failures().is_empty(),
             "reserved decoder blocks were stolen by a prefill transient: {:?}",
-            server.failures()
+            engine.failures()
         );
-        assert_eq!(server.completions().len(), 2);
+        assert_eq!(engine.completions().len(), 2);
         assert!(
-            server.stats().prefill_stalls > 0,
+            engine.stats().prefill_stalls > 0,
             "the scenario must actually exercise a stalled prefill"
         );
-        assert_eq!(server.pool_stats().peak_overshoot(), 0);
+        assert_eq!(engine.pool_stats().peak_overshoot(), 0);
     }
 
     /// Requests sharing an L-token prefix, each with a unique suffix.
@@ -804,16 +552,16 @@ mod tests {
         .with_block_size(4)
         .with_prefill_chunk(8);
         let run = |config: ServerConfig| {
-            let mut server = Server::new(&model, config).unwrap();
+            let mut engine = batch_engine(&model, config).unwrap();
             for r in shared_prefix_requests(4, 16, 28, 4) {
-                server.submit(r).unwrap();
+                engine.submit(r).unwrap();
             }
-            server.run(512);
-            assert!(server.is_idle());
-            assert!(server.failures().is_empty());
-            let mut completions = server.completions().to_vec();
+            engine.run(512);
+            assert!(engine.is_idle());
+            assert!(engine.failures().is_empty());
+            let mut completions = engine.completions().to_vec();
             completions.sort_by_key(|c| c.id);
-            (completions, *server.stats(), server.pool_stats())
+            (completions, *engine.stats(), engine.pool_stats())
         };
         let (cold, cold_stats, _) = run(base);
         let (shared, shared_stats, shared_pool) = run(base.with_prefix_sharing(true));
@@ -847,55 +595,10 @@ mod tests {
     }
 
     #[test]
-    fn shortest_prefill_first_reorders_admission_only() {
-        let model = ModelFamily::Tiny.build(15);
-        // Pool fits one request at a time so admission order == completion
-        // order.
-        let mut server = Server::new(
-            &model,
-            ServerConfig::new(
-                PolicySpec::keyformer_default(),
-                Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-                12 * model.empty_cache().bytes_per_token(),
-            )
-            .with_block_size(4)
-            .with_admission_order(AdmissionOrder::ShortestPrefillFirst),
-        )
-        .unwrap();
-        // Long, short, medium — SPF admits short prompts first.
-        for (id, len) in [(0u64, 24usize), (1, 8), (2, 16)] {
-            server
-                .submit(Request::new(
-                    id,
-                    prompt(len, id as u32),
-                    GenerationConfig::new(2),
-                ))
-                .unwrap();
-        }
-        server.run(256);
-        assert!(server.is_idle());
-        let ids: Vec<u64> = server.completions().iter().map(|c| c.id.raw()).collect();
-        assert_eq!(ids, vec![1, 2, 0]);
-        // The same workload under FIFO preserves submission order.
-        let mut fifo = keyformer_server(&model, 12);
-        for (id, len) in [(0u64, 24usize), (1, 8), (2, 16)] {
-            fifo.submit(Request::new(
-                id,
-                prompt(len, id as u32),
-                GenerationConfig::new(2),
-            ))
-            .unwrap();
-        }
-        fifo.run(256);
-        let ids: Vec<u64> = fifo.completions().iter().map(|c| c.id.raw()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn step_reports_surface_memory_state() {
         let model = ModelFamily::Tiny.build(16);
         let bytes = model.empty_cache().bytes_per_token();
-        let mut server = Server::new(
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),
@@ -907,9 +610,9 @@ mod tests {
         )
         .unwrap();
         for r in shared_prefix_requests(2, 16, 24, 3) {
-            server.submit(r).unwrap();
+            engine.submit(r).unwrap();
         }
-        let first = server.step();
+        let first = engine.step();
         assert_eq!(first.step, 1);
         assert_eq!(first.admitted, 1, "one prefill slot per step");
         assert!(first.allocated_slots > 0);
@@ -920,21 +623,21 @@ mod tests {
         let registry = first.registry.expect("sharing is on");
         assert!(registry.entries > 0, "donor registered its prompt blocks");
         assert_eq!(registry.hits, 0, "nothing attached yet");
-        let second = server.step();
+        let second = engine.step();
         assert_eq!(second.admitted, 1);
         assert_eq!(
             second.registry.unwrap().hits,
             1,
             "second admission attached the donor's prefix"
         );
-        server.run(256);
-        assert!(server.is_idle());
+        engine.run(256);
+        assert!(engine.is_idle());
         // The registry keeps pinning prefix blocks after retirement...
-        assert!(server.pool().blocks_in_use() > 0);
-        assert!(server.registry_stats().unwrap().blocks_held > 0);
+        assert!(engine.pool().blocks_in_use() > 0);
+        assert!(engine.registry_stats().unwrap().blocks_held > 0);
         // ...until it is cleared, which drains the pool completely.
-        server.prefix_registry().unwrap().clear();
-        assert_eq!(server.pool().blocks_in_use(), 0);
+        engine.prefix_registry().unwrap().clear();
+        assert_eq!(engine.pool().blocks_in_use(), 0);
     }
 
     #[test]
@@ -948,7 +651,7 @@ mod tests {
         // scheduler must swap the *youngest other* session out (here: the
         // decoder) rather than let the older prefill starve indefinitely.
         let budget = CacheBudgetSpec::new(0.5, 0.3).unwrap();
-        let mut server = Server::new(
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(PolicySpec::keyformer_default(), Some(budget), 28 * bytes)
                 .with_block_size(4)
@@ -956,27 +659,27 @@ mod tests {
                 .with_strict_pool(true),
         )
         .unwrap();
-        assert_eq!(server.total_blocks(), 14);
-        server
+        assert_eq!(engine.total_blocks(), 14);
+        engine
             .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(24)))
             .unwrap();
-        server
+        engine
             .submit(Request::new(1, prompt(24, 1), GenerationConfig::new(4)))
             .unwrap();
-        let capacity = server.total_blocks();
+        let capacity = engine.total_blocks();
         let mut preempted = 0;
         for _ in 0..2_000 {
-            if server.is_idle() {
+            if engine.is_idle() {
                 break;
             }
-            let report = server.step();
+            let report = engine.step();
             preempted += report.preempted;
-            assert!(server.pool().blocks_in_use() <= capacity);
+            assert!(engine.pool().blocks_in_use() <= capacity);
         }
-        assert!(server.is_idle(), "scheduler failed to drain");
-        assert_eq!(server.completions().len(), 2, "{:?}", server.failures());
-        assert!(server.failures().is_empty());
-        assert_eq!(server.stats().preemptions, preempted);
+        assert!(engine.is_idle(), "scheduler failed to drain");
+        assert_eq!(engine.completions().len(), 2, "{:?}", engine.failures());
+        assert!(engine.failures().is_empty());
+        assert_eq!(engine.stats().preemptions, preempted);
         assert!(
             preempted > 0,
             "the scenario must actually exercise preemption"
@@ -984,18 +687,18 @@ mod tests {
         // Every output still matches a solo engine run — the preempted request
         // was recomputed from scratch, token-identically.
         for (c, gen) in [(0u64, 24usize), (1, 4)] {
-            let mut engine = InferenceEngine::new(
+            let mut solo = InferenceEngine::new(
                 &model,
                 PolicySpec::keyformer_default().build().unwrap(),
                 Some(budget),
             );
-            let alone = engine
+            let alone = solo
                 .try_generate(
                     &prompt(if c == 0 { 16 } else { 24 }, c as u32),
                     &GenerationConfig::new(gen),
                 )
                 .unwrap();
-            let completion = server
+            let completion = engine
                 .completions()
                 .iter()
                 .find(|done| done.id.raw() == c)
@@ -1012,7 +715,7 @@ mod tests {
         // but hold 6 blocks/layer mid-prefill. A 10-block pool cannot hold one
         // request's prefill peak (12 blocks) — only AllowTransient admits it,
         // and the end-of-prompt eviction must return the overshoot immediately.
-        let mut server = Server::new(
+        let mut engine = batch_engine(
             &model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),
@@ -1022,23 +725,23 @@ mod tests {
             .with_block_size(4),
         )
         .unwrap();
-        assert_eq!(server.total_blocks(), 10);
-        server
+        assert_eq!(engine.total_blocks(), 10);
+        engine
             .submit(Request::new(0, prompt(24, 0), GenerationConfig::new(3)))
             .unwrap();
-        server.step();
+        engine.step();
         // After the admission step the prefill has run AND evicted: the
         // transient 12-block peak is already back down to steady state.
-        let peak = server.pool_stats().peak_in_use;
+        let peak = engine.pool_stats().peak_in_use;
         assert!(peak >= 12, "prefill transient not visible in peak: {peak}");
         assert!(
-            server.pool().blocks_in_use() <= 8,
+            engine.pool().blocks_in_use() <= 8,
             "eviction did not reclaim blocks: {} in use",
-            server.pool().blocks_in_use()
+            engine.pool().blocks_in_use()
         );
-        assert!(server.pool_stats().peak_overshoot() >= 2);
-        server.run(64);
-        assert_eq!(server.completions().len(), 1);
-        assert_eq!(server.pool().blocks_in_use(), 0);
+        assert!(engine.pool_stats().peak_overshoot() >= 2);
+        engine.run(64);
+        assert_eq!(engine.completions().len(), 1);
+        assert_eq!(engine.pool().blocks_in_use(), 0);
     }
 }

@@ -7,7 +7,7 @@ use keyformer_core::CoreError;
 use keyformer_model::generation::{GenerationConfig, GenerationOutput};
 use serde::{Deserialize, Serialize};
 
-/// Opaque identifier of one serving request, unique within a [`crate::Server`].
+/// Opaque identifier of one serving request, unique within an [`crate::Engine`].
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -54,7 +54,7 @@ impl RequestOverrides {
         self.policy.is_none() && self.budget.is_none() && !self.unbudgeted
     }
 
-    /// Validates the overrides (the check [`crate::Server::submit`] runs).
+    /// Validates the overrides (the check [`crate::Engine::submit`] runs).
     ///
     /// # Errors
     ///
@@ -322,7 +322,7 @@ impl std::fmt::Display for WireCode {
 }
 
 /// Classifies a *submit-time* rejection — [`crate::Engine::submit_with`] or
-/// [`crate::Server::submit`] returning `Err` — into a stable [`WireCode`], so
+/// [`crate::Engine::submit`] returning `Err` — into a stable [`WireCode`], so
 /// a front-end can answer 4xx/5xx without string-matching error text.
 ///
 /// Validation failures (a policy that does not build, contradictory overrides,

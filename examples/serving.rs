@@ -3,10 +3,10 @@
 //! 50% KV budget, at the same fixed KV-byte pool, and compare throughput and
 //! per-token latency.
 //!
-//! This example drives the event-driven [`Engine`] API directly (`submit` →
-//! `step` → `completions`), the migration target for code that previously
-//! used the batch `Server` facade; see `examples/streaming_chat.rs` for
-//! per-token event streaming, cancellation and priorities.
+//! This example is a batch driver: it turns event recording off, submits the
+//! burst, steps the [`Engine`] to idle and reads its `completions`. See
+//! `examples/streaming_chat.rs` for the same engine with per-token event
+//! streaming, cancellation and priorities.
 //!
 //! ```text
 //! cargo run --release --example serving

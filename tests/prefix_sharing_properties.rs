@@ -11,7 +11,7 @@ use keyformer::core::spec::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::session::Session;
-use keyformer::serve::{Request, Server, ServerConfig};
+use keyformer::serve::{Engine, Request, ServerConfig};
 use proptest::prelude::*;
 
 /// The whole policy zoo, each with the budget the experiments run it under
@@ -263,50 +263,51 @@ fn preempt_then_resume_mid_prefill_is_token_identical() {
         .with_prefill_chunk(4)
         .with_strict_pool(true);
     for config in [base, base.with_prefix_sharing(true)] {
-        let mut server = Server::new(&model, config).unwrap();
+        let mut engine = Engine::new(&model, config).unwrap();
+        engine.record_events(false);
         // A long decoder admitted first, then a fat prompt whose prefill
         // transient cannot fit alongside it: the prefill stalls, and after
         // PREEMPT_AFTER_STALLS steps the younger decoder is swapped out.
-        server
+        engine
             .submit(Request::new(
                 0,
                 synthetic_prompt(16, 0),
                 GenerationConfig::new(24),
             ))
             .unwrap();
-        server
+        engine
             .submit(Request::new(
                 1,
                 synthetic_prompt(24, 1),
                 GenerationConfig::new(4),
             ))
             .unwrap();
-        let capacity = server.total_blocks();
+        let capacity = engine.total_blocks();
         let mut preempted = 0;
         for _ in 0..2_000 {
-            if server.is_idle() {
+            if engine.is_idle() {
                 break;
             }
-            let report = server.step();
+            let report = engine.step();
             preempted += report.preempted;
             assert!(
-                server.pool().blocks_in_use() <= capacity,
+                engine.pool().blocks_in_use() <= capacity,
                 "strict pool overshot during preemption"
             );
         }
         assert!(
-            server.is_idle(),
+            engine.is_idle(),
             "scheduler failed to drain within the step bound (sharing={}): \
              queued {}, running {}",
             config.prefix_sharing,
-            server.queued(),
-            server.running()
+            engine.queued(),
+            engine.running()
         );
         if config.prefix_sharing {
             // Pressure relief escalates: registry pins are reclaimed first,
             // and preemption only fires if that was not enough. Either way the
             // dry pool must have forced one of the two.
-            let evictions = server.registry_stats().unwrap().evictions;
+            let evictions = engine.registry_stats().unwrap().evictions;
             assert!(
                 evictions > 0 || preempted > 0,
                 "scenario must exercise pressure relief (evictions {evictions}, preempted {preempted})"
@@ -314,8 +315,8 @@ fn preempt_then_resume_mid_prefill_is_token_identical() {
         } else {
             assert!(preempted > 0, "scenario must exercise preemption");
         }
-        assert!(server.failures().is_empty(), "{:?}", server.failures());
-        assert_eq!(server.completions().len(), 2);
+        assert!(engine.failures().is_empty(), "{:?}", engine.failures());
+        assert_eq!(engine.completions().len(), 2);
         for (id, len, gen) in [(0u64, 16usize, 24usize), (1, 24, 4)] {
             let alone = Session::with_pool(
                 &model,
@@ -328,7 +329,7 @@ fn preempt_then_resume_mid_prefill_is_token_identical() {
                 &GenerationConfig::new(gen),
             )
             .unwrap();
-            let completion = server
+            let completion = engine
                 .completions()
                 .iter()
                 .find(|c| c.id.raw() == id)
@@ -339,9 +340,9 @@ fn preempt_then_resume_mid_prefill_is_token_identical() {
                 config.prefix_sharing
             );
         }
-        if let Some(registry) = server.prefix_registry() {
+        if let Some(registry) = engine.prefix_registry() {
             registry.clear();
         }
-        assert_eq!(server.pool().blocks_in_use(), 0, "leaked blocks");
+        assert_eq!(engine.pool().blocks_in_use(), 0, "leaked blocks");
     }
 }

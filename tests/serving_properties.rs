@@ -8,7 +8,7 @@ use keyformer::core::spec::PolicySpec;
 use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
-use keyformer::serve::{Request, Server, ServerConfig};
+use keyformer::serve::{Engine, Request, ServerConfig};
 use proptest::prelude::*;
 
 /// The whole policy zoo, each with the budget the experiments run it under
@@ -75,30 +75,31 @@ proptest! {
                 } else {
                     policy.label()
                 };
-                let mut server = Server::new(&model, config).unwrap();
+                let mut engine = Engine::new(&model, config).unwrap();
+                engine.record_events(false);
                 for request in &requests {
-                    server.submit(request.clone()).unwrap();
+                    engine.submit(request.clone()).unwrap();
                 }
-                server.run(10_000);
-                prop_assert!(server.is_idle(), "{label}: server did not drain");
+                engine.run(10_000);
+                prop_assert!(engine.is_idle(), "{label}: engine did not drain");
                 prop_assert!(
-                    server.failures().is_empty(),
+                    engine.failures().is_empty(),
                     "{label}: unexpected failures"
                 );
-                prop_assert_eq!(server.completions().len(), num_requests);
+                prop_assert_eq!(engine.completions().len(), num_requests);
                 prop_assert!(
-                    server.pool().blocks_in_use() == 0,
+                    engine.pool().blocks_in_use() == 0,
                     "{label}: retired requests leaked blocks"
                 );
                 for request in &requests {
-                    let completion = server
+                    let completion = engine
                         .completions()
                         .iter()
                         .find(|c| c.id == request.id)
                         .expect("every request completes");
-                    let mut engine =
+                    let mut solo =
                         InferenceEngine::new(&model, policy.build().unwrap(), budget);
-                    let alone = engine
+                    let alone = solo
                         .try_generate(&request.prompt, &request.config)
                         .unwrap();
                     prop_assert!(
@@ -123,7 +124,7 @@ proptest! {
         let model = ModelFamily::Tiny.build(13);
         let bytes_per_token = model.empty_cache().bytes_per_token();
         let pool = pool_slots * bytes_per_token;
-        let mut server = Server::new(
+        let mut engine = Engine::new(
             &model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),
@@ -132,8 +133,9 @@ proptest! {
             ),
         )
         .unwrap();
+        engine.record_events(false);
         for i in 0..num_requests {
-            server
+            engine
                 .submit(Request::new(
                     i as u64,
                     synthetic_prompt(prompt_len, i as u32),
@@ -141,14 +143,14 @@ proptest! {
                 ))
                 .unwrap();
         }
-        while !server.is_idle() {
-            server.step();
-            prop_assert!(server.reserved_bytes() <= pool);
+        while !engine.is_idle() {
+            engine.step();
+            prop_assert!(engine.reserved_bytes() <= pool);
         }
-        let retired = server.completions().len() + server.failures().len();
+        let retired = engine.completions().len() + engine.failures().len();
         prop_assert_eq!(retired, num_requests);
         let completed_ids: Vec<u64> =
-            server.completions().iter().map(|c| c.id.raw()).collect();
+            engine.completions().iter().map(|c| c.id.raw()).collect();
         let mut sorted = completed_ids.clone();
         sorted.sort_unstable();
         // Equal-size FIFO requests must complete in submission order.
