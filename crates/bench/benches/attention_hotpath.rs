@@ -5,9 +5,12 @@
 //! each [`ForwardPath`], which is where the cached RoPE key rotations and the
 //! eliminated per-token allocations show up end to end. `decode_tail` isolates
 //! steady-state decode by timing only the generated-token steps after a fixed
-//! prompt — the regime the zero-allocation claim is about.
+//! prompt — the regime the zero-allocation claim is about — and times one
+//! Keyformer@50% decode step at ~512 live slots, where every step appends a
+//! slot and evicts one (scoring, selection, compaction and key re-rotation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
@@ -18,11 +21,15 @@ use std::time::Duration;
 
 const PROMPT_LEN: usize = 64;
 const GEN_TOKENS: usize = 64;
+/// Prompt of the eviction case: Keyformer@50% keeps 512 of its slots.
+const EVICT_PROMPT_LEN: usize = 1024;
+
+fn prompt_of(len: usize, vocab: usize) -> Vec<u32> {
+    (0..len).map(|t| ((t * 17 + 3) % vocab) as u32).collect()
+}
 
 fn prompt(vocab: usize) -> Vec<u32> {
-    (0..PROMPT_LEN)
-        .map(|t| ((t * 17 + 3) % vocab) as u32)
-        .collect()
+    prompt_of(PROMPT_LEN, vocab)
 }
 
 /// Full request latency, legacy vs workspace, across the positional families.
@@ -94,6 +101,36 @@ fn bench_decode_tail(c: &mut Criterion) {
             });
         });
     }
+
+    // One decode step with eviction: the template's prompt is already cut to
+    // its 512-slot budget, so each step appends a slot and evicts one. The
+    // running session is re-forked when its generation budget runs out,
+    // once per few thousand steps.
+    let spec = CacheBudgetSpec::with_fraction(0.5).expect("valid fraction");
+    let policy = PolicySpec::keyformer_default().build().expect("valid");
+    let mut template = Session::new(&model, policy, Some(spec));
+    let long_prompt = prompt_of(EVICT_PROMPT_LEN, model.config().vocab_size);
+    let long_gen = model.config().max_seq_len - EVICT_PROMPT_LEN;
+    template
+        .begin(&long_prompt, &GenerationConfig::new(long_gen))
+        .expect("prompt admits");
+    while template.is_prefilling() {
+        template.advance_prefill().expect("prefill advances");
+    }
+    assert_eq!(
+        template.cache().layer(0).len(),
+        EVICT_PROMPT_LEN / 2,
+        "the prompt leaves the cache at its budget"
+    );
+    let mut session = template.fork().expect("fork");
+    group.bench_function(BenchmarkId::new("gptj_keyformer50", "workspace"), |b| {
+        b.iter(|| {
+            if !session.is_decoding() {
+                session = template.fork().expect("fork");
+            }
+            session.step().expect("decode step")
+        });
+    });
     group.finish();
 }
 

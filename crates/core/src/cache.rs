@@ -268,6 +268,46 @@ impl KvBlockData {
         }
     }
 
+    /// Copies consecutive rows of one head's keys or values, starting at
+    /// `first_row`, into `out` (as many rows as `out` holds), dequantizing if
+    /// sealed — [`KvBlockData::row`]'s element-wise arithmetic without its
+    /// allocation.
+    fn copy_rows_into(
+        &self,
+        component: KvComponent,
+        head: usize,
+        first_row: usize,
+        out: &mut [f32],
+    ) {
+        match self {
+            KvBlockData::F32 { keys, values } => {
+                let m = match component {
+                    KvComponent::Keys => &keys[head],
+                    KvComponent::Values => &values[head],
+                };
+                let start = first_row * m.shape().1;
+                out.copy_from_slice(&m.as_slice()[start..start + out.len()]);
+            }
+            KvBlockData::U8 {
+                keys,
+                values,
+                head_dim,
+                key_map,
+                value_map,
+                ..
+            } => {
+                let (codes, map) = match component {
+                    KvComponent::Keys => (&keys[head], key_map),
+                    KvComponent::Values => (&values[head], value_map),
+                };
+                let src = &codes[first_row * head_dim..first_row * head_dim + out.len()];
+                for (o, &q) in out.iter_mut().zip(src) {
+                    *o = map.dequantize(q);
+                }
+            }
+        }
+    }
+
     /// Quantizes a full-precision payload in place (no-op when already
     /// sealed). Per-tensor: one affine map covers every key row of every
     /// head, another every value row.
@@ -561,33 +601,12 @@ impl<'a> KvSlice<'a> {
     pub fn copy_row_into(&self, slot: usize, out: &mut [f32]) {
         assert!(slot < self.len, "slot index out of bounds");
         assert_eq!(out.len(), self.head_dim, "output width must match head_dim");
-        let row = slot % self.block_size;
-        match &*self.blocks[slot / self.block_size].data {
-            KvBlockData::F32 { keys, values } => {
-                let m = match self.component {
-                    KvComponent::Keys => &keys[self.head],
-                    KvComponent::Values => &values[self.head],
-                };
-                out.copy_from_slice(m.row(row));
-            }
-            KvBlockData::U8 {
-                keys,
-                values,
-                head_dim,
-                key_map,
-                value_map,
-                ..
-            } => {
-                let (codes, map) = match self.component {
-                    KvComponent::Keys => (&keys[self.head], key_map),
-                    KvComponent::Values => (&values[self.head], value_map),
-                };
-                let src = &codes[row * head_dim..(row + 1) * head_dim];
-                for (o, &q) in out.iter_mut().zip(src) {
-                    *o = map.dequantize(q);
-                }
-            }
-        }
+        self.blocks[slot / self.block_size].data.copy_rows_into(
+            self.component,
+            self.head,
+            slot % self.block_size,
+            out,
+        );
     }
 
     /// Visits every live row in slot order without allocating: `f32` rows are
@@ -960,6 +979,37 @@ impl LayerKvCache {
         Ok(())
     }
 
+    /// Moves `rows` consecutive rows of every head's keys and values from
+    /// block `sb` (starting at row `sr`) to block `db` (starting at row `dr`),
+    /// where `db <= sb` and block `db` is private f32 staging. Within one
+    /// block the rows shift with an overlapping `copy_within`.
+    fn move_rows(&mut self, sb: usize, sr: usize, db: usize, dr: usize, rows: usize) {
+        let hd = self.head_dim;
+        let (front, back) = self.blocks.split_at_mut(sb);
+        let (dst_block, source) = if db == sb {
+            (&mut back[0], None)
+        } else {
+            (&mut front[db], Some(&back[0].data))
+        };
+        let KvBlockData::F32 { keys, values } = Self::private_data_mut(dst_block) else {
+            unreachable!("destination blocks are unsealed in the pre-pass");
+        };
+        for (component, mats) in [(KvComponent::Keys, keys), (KvComponent::Values, values)] {
+            for (head, m) in mats.iter_mut().enumerate() {
+                let data = m.as_mut_slice();
+                match source {
+                    None => data.copy_within(sr * hd..(sr + rows) * hd, dr * hd),
+                    Some(src) => src.copy_rows_into(
+                        component,
+                        head,
+                        sr,
+                        &mut data[dr * hd..(dr + rows) * hd],
+                    ),
+                }
+            }
+        }
+    }
+
     /// Ensures block `idx` is privately owned, forking a copy-on-write clone
     /// (fresh pool block + payload copy, shared original released) when it is
     /// currently mapped elsewhere.
@@ -1272,50 +1322,45 @@ impl LayerKvCache {
         if needed > 0 && new_len < needed * bs {
             first_touched = first_touched.min(needed - 1);
         }
-        // Copy-on-write pre-pass: every block compaction will *write* — a
-        // destination of a moved row, or the truncated final block — must be
-        // privately owned first, and unsealed back to f32 staging if it was
-        // quantized. Blocks the selection leaves byte-identical (an aligned
-        // identity prefix) stay shared and sealed.
-        for (dst, &src) in retained.iter().enumerate() {
-            if dst != src {
-                self.ensure_private(dst / bs)?;
-                Self::private_data_mut(&mut self.blocks[dst / bs]).unseal();
-            }
-        }
-        if needed > 0 && new_len < needed * bs {
-            // The final kept block will be truncated below.
-            self.ensure_private(needed - 1)?;
-            Self::private_data_mut(&mut self.blocks[needed - 1]).unseal();
+        // Copy-on-write pre-pass: every block compaction will *write* — the
+        // touched suffix computed above: destinations of moved rows and the
+        // truncated final block — must be privately owned first, and unsealed
+        // back to f32 staging if it was quantized. Blocks the selection leaves
+        // byte-identical (an aligned identity prefix) stay shared and sealed.
+        for idx in first_touched..needed {
+            self.ensure_private(idx)?;
+            Self::private_data_mut(&mut self.blocks[idx]).unseal();
         }
         // `retained` is strictly increasing, so every destination slot is at or
         // before its source slot and rows can be moved in a single forward pass.
-        // Sources still sealed dequantize row-by-row; destinations were
+        // Moves go in runs contiguous on both sides and inside one source and
+        // one destination block, one bulk copy per head and component.
+        // Sources still sealed dequantize element-wise; destinations were
         // unsealed above, so moves always land in f32 staging.
-        for (dst, &src) in retained.iter().enumerate() {
+        let mut dst = 0;
+        while dst < new_len {
+            let src = retained[dst];
             if dst == src {
+                dst += 1;
                 continue;
             }
             let (sb, sr) = (src / bs, src % bs);
             let (db, dr) = (dst / bs, dst % bs);
-            for h in 0..self.num_heads {
-                let key = self.blocks[sb]
-                    .data
-                    .row(KvComponent::Keys, h, sr)
-                    .into_owned();
-                let value = self.blocks[sb]
-                    .data
-                    .row(KvComponent::Values, h, sr)
-                    .into_owned();
-                let data = Self::private_data_mut(&mut self.blocks[db]);
-                let KvBlockData::F32 { keys, values } = data else {
-                    unreachable!("destination blocks are unsealed in the pre-pass");
-                };
-                keys[h].row_mut(dr).copy_from_slice(&key);
-                values[h].row_mut(dr).copy_from_slice(&value);
+            let mut run = 1;
+            while dst + run < new_len
+                && retained[dst + run] == src + run
+                && sr + run < bs
+                && dr + run < bs
+            {
+                run += 1;
             }
+            self.move_rows(sb, sr, db, dr, run);
+            dst += run;
         }
-        self.positions = retained.iter().map(|&i| self.positions[i]).collect();
+        for (dst, &src) in retained.iter().enumerate() {
+            self.positions[dst] = self.positions[src];
+        }
+        self.positions.truncate(new_len);
         // Release every emptied tail block even if one release reports a
         // bookkeeping error — bailing mid-drain would drop the remaining
         // blocks from the table unreleased, turning one bad id into a
@@ -2165,6 +2210,38 @@ mod tests {
             shared.cow_forks() > 0,
             "compaction wrote into shared blocks"
         );
+    }
+
+    #[test]
+    fn retain_slots_moves_byte_identical_rows_out_of_sealed_blocks() {
+        let pool = SharedBlockPool::unbounded(4);
+        let mut layer = filled_layer_u8(12, pool);
+        assert!(layer
+            .blocks
+            .iter()
+            .all(|b| b.data.storage_dtype() == KvDtype::U8));
+        let bits = |row: Cow<'_, [f32]>| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Block 0 stays an identity prefix; slot 6 moves within sealed block
+        // 1, slots 9 and 11 move out of sealed block 2. The kept tail block
+        // holds 3 of 4 rows, so it stays in f32 staging and is not resealed.
+        let keep = [0, 1, 2, 3, 6, 9, 11];
+        let expected: Vec<Vec<(Vec<u32>, Vec<u32>)>> = keep
+            .iter()
+            .map(|&src| {
+                (0..2)
+                    .map(|h| (bits(layer.keys(h).row(src)), bits(layer.values(h).row(src))))
+                    .collect()
+            })
+            .collect();
+        layer.retain_slots(&keep).unwrap();
+        assert_eq!(layer.blocks[1].data.storage_dtype(), KvDtype::F32);
+        for (dst, want) in expected.iter().enumerate() {
+            for (h, (key, value)) in want.iter().enumerate() {
+                assert_eq!(&bits(layer.keys(h).row(dst)), key, "key slot {dst}");
+                assert_eq!(&bits(layer.values(h).row(dst)), value, "value slot {dst}");
+            }
+        }
+        assert_eq!(layer.positions(), &keep);
     }
 
     #[test]

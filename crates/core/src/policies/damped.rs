@@ -11,7 +11,7 @@ use crate::budget::CacheBudget;
 use crate::observation::AttentionObservation;
 use crate::policy::{merge_key_and_recent, KvCachePolicy};
 use crate::CoreError;
-use keyformer_tensor::ops::softmax;
+use keyformer_tensor::ops::softmax_into;
 use keyformer_tensor::top_k_indices;
 
 /// H2O-style accumulated-attention scoring with a multiplicative damping factor
@@ -20,6 +20,8 @@ use keyformer_tensor::top_k_indices;
 pub struct DampedAttention {
     alpha: f32,
     accumulator: ScoreAccumulator,
+    /// Per-observation softmax scratch, reused so `observe` never allocates.
+    probs: Vec<f32>,
 }
 
 impl DampedAttention {
@@ -37,6 +39,7 @@ impl DampedAttention {
         Ok(DampedAttention {
             alpha,
             accumulator: ScoreAccumulator::new(ScoreScope::PerLayer),
+            probs: Vec::new(),
         })
     }
 
@@ -52,12 +55,12 @@ impl KvCachePolicy for DampedAttention {
     }
 
     fn observe(&mut self, obs: &AttentionObservation<'_>) {
-        let mut probs = softmax(obs.logits);
+        softmax_into(obs.logits, &mut self.probs);
         // Damp the per-step score before accumulating: \bar{f} = α f.
-        for p in &mut probs {
+        for p in &mut self.probs {
             *p *= self.alpha;
         }
-        self.accumulator.accumulate(obs.layer, &probs);
+        self.accumulator.accumulate(obs.layer, &self.probs);
     }
 
     fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {

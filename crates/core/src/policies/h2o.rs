@@ -6,7 +6,7 @@ use crate::accumulator::{ScoreAccumulator, ScoreScope};
 use crate::budget::CacheBudget;
 use crate::observation::AttentionObservation;
 use crate::policy::{merge_key_and_recent, KvCachePolicy};
-use keyformer_tensor::ops::softmax;
+use keyformer_tensor::ops::softmax_into;
 use keyformer_tensor::top_k_indices;
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +32,8 @@ impl Default for H2OConfig {
 pub struct H2O {
     config: H2OConfig,
     accumulator: ScoreAccumulator,
+    /// Per-observation softmax scratch, reused so `observe` never allocates.
+    probs: Vec<f32>,
 }
 
 impl H2O {
@@ -40,6 +42,7 @@ impl H2O {
         H2O {
             accumulator: ScoreAccumulator::new(config.scope),
             config,
+            probs: Vec::new(),
         }
     }
 
@@ -69,8 +72,8 @@ impl KvCachePolicy for H2O {
         // H2O accumulates the *normalized* attention scores. After eviction the
         // discarded probability mass redistributes over the survivors — the softmax
         // shift the Keyformer paper identifies as H2O's weakness (Figure 4).
-        let probs = softmax(obs.logits);
-        self.accumulator.accumulate(obs.layer, &probs);
+        softmax_into(obs.logits, &mut self.probs);
+        self.accumulator.accumulate(obs.layer, &self.probs);
     }
 
     fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {

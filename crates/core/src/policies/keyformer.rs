@@ -19,7 +19,7 @@ use crate::observation::AttentionObservation;
 use crate::policy::{merge_key_and_recent, KvCachePolicy};
 use crate::temperature::TemperatureSchedule;
 use crate::CoreError;
-use keyformer_tensor::ops::softmax_with_temperature;
+use keyformer_tensor::ops::{softmax_in_place, softmax_with_temperature};
 use keyformer_tensor::top_k_indices;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,6 +93,8 @@ pub struct Keyformer {
     config: KeyformerConfig,
     accumulator: ScoreAccumulator,
     rng: StdRng,
+    /// Per-observation scoring scratch, reused so `observe` never allocates.
+    scratch: Vec<f32>,
 }
 
 impl Keyformer {
@@ -108,6 +110,7 @@ impl Keyformer {
             accumulator: ScoreAccumulator::new(config.scope),
             rng: StdRng::seed_from_u64(config.seed),
             config,
+            scratch: Vec::new(),
         }
     }
 
@@ -124,7 +127,9 @@ impl Keyformer {
 
     /// Computes one step's (un-accumulated) score contribution for a set of logits:
     /// noise-adjusted, temperature-scaled softmax. Exposed so the diagnostics module
-    /// and the benches can measure the score function in isolation.
+    /// and the benches can measure the score function in isolation; it is also the
+    /// reference [`KvCachePolicy::observe`]'s fused, allocation-free scoring matches
+    /// bit for bit.
     pub fn step_scores(&mut self, obs: &AttentionObservation<'_>) -> Vec<f32> {
         let adjusted = self.config.adjustment.adjust(obs.logits, &mut self.rng);
         let tau = self
@@ -150,8 +155,22 @@ impl KvCachePolicy for Keyformer {
         if obs.logits.is_empty() {
             return;
         }
-        let contribution = self.step_scores(obs);
-        self.accumulator.accumulate(obs.layer, &contribution);
+        // `step_scores` in one reused buffer: the same per-logit draw order,
+        // `(x + ζ) / τ` and softmax arithmetic, without its four allocations.
+        let tau = self
+            .config
+            .temperature
+            .tau(obs.phase, obs.step, obs.total_steps);
+        assert!(tau > 0.0, "temperature must be strictly positive");
+        self.scratch.clear();
+        self.config
+            .adjustment
+            .adjust_into(obs.logits, &mut self.rng, &mut self.scratch);
+        for x in &mut self.scratch {
+            *x /= tau;
+        }
+        softmax_in_place(&mut self.scratch);
+        self.accumulator.accumulate(obs.layer, &self.scratch);
     }
 
     fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
@@ -328,6 +347,52 @@ mod tests {
         let second = p.scores(0, 4);
         assert_eq!(first, second);
         assert_eq!(p.name(), "keyformer");
+    }
+
+    #[test]
+    fn fused_observe_matches_step_scores_then_accumulate() {
+        for adjustment in [
+            LogitAdjustment::None,
+            LogitAdjustment::paper_constant(),
+            LogitAdjustment::paper_gaussian(),
+            LogitAdjustment::Gumbel,
+        ] {
+            let mut fused = Keyformer::new(KeyformerConfig::default().with_adjustment(adjustment));
+            // A clone carries the same RNG state, so both draw one stream.
+            let mut reference = fused.clone();
+            let rows: [&[f32]; 4] = [
+                &[0.5, -1.25, 3.0],
+                &[-0.0, 0.0, 2.5, -7.0],
+                &[f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY],
+                &[1.0e30, -1.0e30, 0.25, 4.0, 0.125],
+            ];
+            for step in 0..6 {
+                for (layer, logits) in rows.iter().enumerate() {
+                    let phase = if step < 2 {
+                        Phase::Prompt
+                    } else {
+                        Phase::Generation
+                    };
+                    let o = AttentionObservation {
+                        layer,
+                        head: 0,
+                        phase,
+                        step,
+                        total_steps: 5,
+                        logits,
+                    };
+                    fused.observe(&o);
+                    let contribution = reference.step_scores(&o);
+                    reference.accumulator.accumulate(layer, &contribution);
+                }
+            }
+            for layer in 0..rows.len() {
+                let bits = |p: &Keyformer| -> Vec<u32> {
+                    p.scores(layer, 5).iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&fused), bits(&reference), "{adjustment} layer {layer}");
+            }
+        }
     }
 
     #[test]

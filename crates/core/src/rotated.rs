@@ -142,6 +142,30 @@ impl RotatedKeyCache {
         &block.data[start..start + self.head_dim]
     }
 
+    /// Visits the cached rotated keys of `head` for slots `0..live`, block by
+    /// block, each as one row-major `rows × head_dim` slab — the layout a
+    /// batched score kernel reads without per-row lookups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` exceeds the slots covered by the last
+    /// [`RotatedKeyCache::sync`].
+    pub fn for_each_block(&self, head: usize, live: usize, mut visit: impl FnMut(&[f32])) {
+        assert!(
+            live <= self.covered_slots(),
+            "slots not covered by the last sync"
+        );
+        let block_len = self.block_size * self.head_dim;
+        for (idx, block) in self.blocks.iter().enumerate() {
+            let rows = block.rows.min(live.saturating_sub(idx * self.block_size));
+            if rows == 0 {
+                break;
+            }
+            let start = head * block_len;
+            visit(&block.data[start..start + rows * self.head_dim]);
+        }
+    }
+
     /// Slots covered by the last [`RotatedKeyCache::sync`].
     pub fn covered_slots(&self) -> usize {
         match self.blocks.last() {
@@ -222,6 +246,25 @@ mod tests {
         });
         assert_eq!(rotations, 2, "one new row x two heads");
         assert_in_sync(&rot, &layer);
+    }
+
+    #[test]
+    fn block_slabs_concatenate_to_the_rows_of_a_causal_prefix() {
+        let pool = SharedBlockPool::unbounded(4);
+        let mut layer = LayerKvCache::with_pool(2, 3, pool);
+        append_tokens(&mut layer, 10);
+        let mut rot = rot_for(&layer);
+        rot.sync(&layer, fake_rotate);
+        for head in 0..2 {
+            for live in [0, 1, 4, 7, 10] {
+                let mut flat = Vec::new();
+                rot.for_each_block(head, live, |slab| flat.extend_from_slice(slab));
+                let want: Vec<f32> = (0..live)
+                    .flat_map(|slot| rot.row(head, slot).to_vec())
+                    .collect();
+                assert_eq!(flat, want, "head {head}, live {live}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::attention::AttentionContext;
 use crate::config::ModelConfig;
 use crate::decoder::decoder_layer_forward;
-use crate::positional::PositionalEncoding;
+use crate::positional::{PositionalEncoding, RopeTable};
 use crate::stats::AttentionStats;
 use crate::weights::ModelWeights;
 use keyformer_core::block::{SharedBlockPool, DEFAULT_BLOCK_SIZE};
@@ -39,6 +39,8 @@ pub struct ForwardContext<'a> {
 pub struct TransformerModel {
     config: ModelConfig,
     weights: ModelWeights,
+    /// RoPE angles for every position up to `max_seq_len` (RoPE models only).
+    rope: Option<RopeTable>,
 }
 
 impl TransformerModel {
@@ -51,7 +53,13 @@ impl TransformerModel {
     pub fn new(config: ModelConfig) -> Result<Self, CoreError> {
         config.validate()?;
         let weights = ModelWeights::build(&config);
-        Ok(TransformerModel { config, weights })
+        let rope = (config.positional == PositionalEncoding::Rope)
+            .then(|| RopeTable::new(config.head_dim(), config.max_seq_len, config.rope_scale));
+        Ok(TransformerModel {
+            config,
+            weights,
+            rope,
+        })
     }
 
     /// The model configuration.
@@ -62,6 +70,12 @@ impl TransformerModel {
     /// The model weights (read-only).
     pub fn weights(&self) -> &ModelWeights {
         &self.weights
+    }
+
+    /// The precomputed RoPE angle table, for models with
+    /// [`PositionalEncoding::Rope`].
+    pub fn rope_table(&self) -> Option<&RopeTable> {
+        self.rope.as_ref()
     }
 
     /// Creates an empty KV cache with this model's shape, backed by a private

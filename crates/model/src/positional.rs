@@ -57,6 +57,68 @@ pub fn apply_rope_scaled(vector: &mut [f32], position: f32, base: f32) {
 /// Standard RoPE base used by GPT-J-style models.
 pub const ROPE_BASE: f32 = 10_000.0;
 
+/// Precomputed RoPE angles: `(cos, sin)` of every dimension pair at every
+/// integer position `0..=max_position`, for one head width and position
+/// scale.
+///
+/// Each entry comes from [`apply_rope_scaled`]'s exact expressions
+/// (`p as f32 * rope_scale` times `ROPE_BASE.powf(-(2i)/d)`, then `sin_cos`),
+/// and [`RopeTable::rotate`] applies them with the same multiply-adds, so a
+/// table rotation is bit-identical to [`apply_rope_scaled`] while skipping its
+/// per-pair `powf` and `sin_cos`. Positions past the table, and rows of
+/// another width, fall back to [`apply_rope_scaled`].
+#[derive(Debug, Clone)]
+pub struct RopeTable {
+    head_dim: usize,
+    rope_scale: f32,
+    /// `[position][pair]` angle pairs, `(cos, sin)`.
+    angles: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// Builds the table for rows of width `head_dim` at positions
+    /// `0..=max_position` scaled by `rope_scale`.
+    pub fn new(head_dim: usize, max_position: usize, rope_scale: f32) -> Self {
+        let pairs = head_dim / 2;
+        let inv_freq: Vec<f32> = (0..pairs)
+            .map(|i| ROPE_BASE.powf(-(2.0 * i as f32) / head_dim as f32))
+            .collect();
+        let mut angles = Vec::with_capacity((max_position + 1) * pairs);
+        for p in 0..=max_position {
+            let position = p as f32 * rope_scale;
+            angles.extend(inv_freq.iter().map(|&f| {
+                let (sin, cos) = (position * f).sin_cos();
+                (cos, sin)
+            }));
+        }
+        RopeTable {
+            head_dim,
+            rope_scale,
+            angles,
+        }
+    }
+
+    /// Rotates `row` in place to integer position `position`: bit-identical
+    /// to `apply_rope_scaled(row, position as f32 * rope_scale, ROPE_BASE)`.
+    #[inline]
+    pub fn rotate(&self, row: &mut [f32], position: usize) {
+        let pairs = self.head_dim / 2;
+        let angles = position
+            .checked_mul(pairs)
+            .and_then(|start| self.angles.get(start..start.checked_add(pairs)?));
+        match angles {
+            Some(angles) if row.len() == self.head_dim => {
+                for (pair, &(cos, sin)) in row.chunks_exact_mut(2).zip(angles) {
+                    let (a, b) = (pair[0], pair[1]);
+                    pair[0] = a * cos - b * sin;
+                    pair[1] = a * sin + b * cos;
+                }
+            }
+            _ => apply_rope_scaled(row, position as f32 * self.rope_scale, ROPE_BASE),
+        }
+    }
+}
+
 /// Returns the ALiBi slope for attention head `head` out of `num_heads`.
 ///
 /// Uses the geometric sequence from the ALiBi paper: for `H` heads the slopes are
@@ -137,6 +199,38 @@ mod tests {
         };
         assert!((dot_at(5, 2) - dot_at(105, 102)).abs() < 1e-3);
         assert!((dot_at(8, 8) - dot_at(40, 40)).abs() < 1e-3);
+    }
+
+    #[test]
+    fn rope_table_matches_apply_rope_scaled_bit_for_bit() {
+        // Tiny (head dim 16, scale 1) and GPT-J-like (head dim 32, scale 1/256),
+        // plus an odd width whose trailing dimension stays untouched.
+        for (head_dim, max_seq_len, rope_scale) in
+            [(16, 512, 1.0), (32, 4096, 1.0 / 256.0), (7, 40, 0.5)]
+        {
+            let table = RopeTable::new(head_dim, max_seq_len, rope_scale);
+            let row: Vec<f32> = (0..head_dim)
+                .map(|d| (d as f32 * 0.37 - 1.1).sin() * 3.0)
+                .collect();
+            // Positions past `max_seq_len` exercise the fallback path.
+            for position in 0..=max_seq_len + 8 {
+                let mut want = row.clone();
+                apply_rope_scaled(&mut want, position as f32 * rope_scale, ROPE_BASE);
+                let mut got = row.clone();
+                table.rotate(&mut got, position);
+                assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "head_dim {head_dim}, position {position}"
+                );
+            }
+            // A row of another width falls back too.
+            let mut other = vec![1.0; head_dim + 2];
+            let mut want = other.clone();
+            table.rotate(&mut other, 3);
+            apply_rope_scaled(&mut want, 3.0 * rope_scale, ROPE_BASE);
+            assert_eq!(other, want);
+        }
     }
 
     #[test]

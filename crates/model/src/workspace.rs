@@ -15,7 +15,10 @@
 //!   key, keyed on KV-block `(id, generation)` so appends top up incrementally
 //!   while compaction, CoW forks and quantize-on-seal rebuild exactly the
 //!   affected blocks;
-//! * per-head ALiBi slopes are precomputed once per model configuration.
+//! * per-head ALiBi slopes are precomputed once per model configuration;
+//! * RoPE rotations of keys and queries read their `(cos, sin)` pairs from the
+//!   model's [`RopeTable`] instead of recomputing a `powf` and a `sin_cos` per
+//!   dimension pair.
 //!
 //! Every buffer reuse preserves the exact f32 operation order of the legacy
 //! path, so the two paths are *byte-identical*: the same token streams, the
@@ -25,9 +28,7 @@
 use crate::attention::AttentionContext;
 use crate::config::{ModelConfig, PositionMode};
 use crate::model::{ForwardContext, TransformerModel};
-use crate::positional::{
-    alibi_bias, alibi_slope, apply_rope_scaled, PositionalEncoding, ROPE_BASE,
-};
+use crate::positional::{alibi_bias, alibi_slope, PositionalEncoding, RopeTable};
 use crate::stats::{AttentionRecord, AttentionStats};
 use crate::weights::LayerWeights;
 use keyformer_core::cache::{KvCache, KvDtype, LayerKvCache};
@@ -35,7 +36,7 @@ use keyformer_core::observation::{AttentionObservation, Phase};
 use keyformer_core::policy::KvCachePolicy;
 use keyformer_core::{CoreError, RotatedKeyCache};
 use keyformer_tensor::ops::{gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into};
-use keyformer_tensor::vector::dot;
+use keyformer_tensor::vector::{dot, dot_rows_into};
 
 const LN_EPS: f32 = 1e-5;
 
@@ -285,6 +286,7 @@ pub(crate) fn forward_token_ws(
         };
         decoder_layer_forward_ws(
             config,
+            model.rope_table(),
             &weights.layers[layer],
             layer,
             position,
@@ -495,22 +497,14 @@ pub(crate) fn forward_chunk_ws(
                 &v[run_start * d_model..run_end * d_model],
             )?;
             layer_peak = layer_peak.max(layer_cache.byte_size());
-            if config.positional == PositionalEncoding::Rope {
-                let rope_scale = config.rope_scale;
-                let positions = layer_cache.positions();
-                match config.position_mode {
-                    PositionMode::Original => layer_rot.sync(layer_cache, |row, slot| {
-                        apply_rope_scaled(row, positions[slot] as f32 * rope_scale, ROPE_BASE);
-                    }),
-                    PositionMode::Remapped => layer_rot.sync(layer_cache, |row, slot| {
-                        apply_rope_scaled(row, slot as f32 * rope_scale, ROPE_BASE);
-                    }),
-                }
+            if let Some(rope) = model.rope_table() {
+                sync_rotations(layer_rot, layer_cache, rope, config.position_mode);
             }
             for t in run_start..run_end {
                 let obs_base = (t * num_layers + layer) * num_heads;
                 attend_chunk_query_ws(
                     config,
+                    model.rope_table(),
                     &q[t * d_model..(t + 1) * d_model],
                     start_position + t,
                     layer_cache,
@@ -596,6 +590,22 @@ pub(crate) fn forward_chunk_ws(
     Ok(peak_bytes)
 }
 
+/// Brings `rot` up to date with `cache`, rotating each key by the table at
+/// its effective position: its original sequence position, or its slot under
+/// [`PositionMode::Remapped`].
+fn sync_rotations(
+    rot: &mut RotatedKeyCache,
+    cache: &LayerKvCache,
+    rope: &RopeTable,
+    mode: PositionMode,
+) {
+    let positions = cache.positions();
+    match mode {
+        PositionMode::Original => rot.sync(cache, |row, slot| rope.rotate(row, positions[slot])),
+        PositionMode::Remapped => rot.sync(cache, |row, slot| rope.rotate(row, slot)),
+    }
+}
+
 /// One chunk query of [`forward_chunk_ws`]: the same per-head arithmetic as
 /// [`attend_single_query_ws`], against a `live`-slot
 /// [`keyformer_core::cache::KvSlice::truncated`] causal view of the layer, with
@@ -606,6 +616,7 @@ pub(crate) fn forward_chunk_ws(
 #[allow(clippy::too_many_arguments)]
 fn attend_chunk_query_ws(
     config: &ModelConfig,
+    rope: Option<&RopeTable>,
     query: &[f32],
     query_position: usize,
     cache: &LayerKvCache,
@@ -644,19 +655,17 @@ fn attend_chunk_query_ws(
 
     for head in 0..num_heads {
         q_head.copy_from_slice(&query[head * head_dim..(head + 1) * head_dim]);
-        if config.positional == PositionalEncoding::Rope {
-            apply_rope_scaled(
-                q_head,
-                effective_query_pos as f32 * config.rope_scale,
-                ROPE_BASE,
-            );
+        if let Some(rope) = rope {
+            rope.rotate(q_head, effective_query_pos);
         }
         let slope = alibi_slopes[head];
         logits.clear();
         match config.positional {
             PositionalEncoding::Rope => {
-                for slot in 0..live {
-                    logits.push(dot(q_head, rot.row(head, slot)) * scale);
+                // Per-block score GEMV, then the same `dot * scale` per slot.
+                rot.for_each_block(head, live, |keys| dot_rows_into(keys, q_head, logits));
+                for logit in logits.iter_mut() {
+                    *logit *= scale;
                 }
             }
             PositionalEncoding::Alibi => {
@@ -712,6 +721,7 @@ fn attend_chunk_query_ws(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decoder_layer_forward_ws(
     config: &ModelConfig,
+    rope: Option<&RopeTable>,
     weights: &LayerWeights,
     layer: usize,
     position: usize,
@@ -756,6 +766,7 @@ pub(crate) fn decoder_layer_forward_ws(
 
     attend_single_query_ws(
         config,
+        rope,
         layer,
         &scratch.q,
         position,
@@ -820,6 +831,7 @@ pub(crate) fn decoder_layer_forward_ws(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attend_single_query_ws(
     config: &ModelConfig,
+    rope: Option<&RopeTable>,
     layer: usize,
     query: &[f32],
     query_position: usize,
@@ -850,16 +862,8 @@ pub(crate) fn attend_single_query_ws(
     // Keys are rotated once per (block, generation): appends top up, eviction
     // and CoW rewrites rebuild exactly the affected blocks. The rotation only
     // depends on the slot, which is what makes it cacheable across steps.
-    if config.positional == PositionalEncoding::Rope {
-        let rope_scale = config.rope_scale;
-        match config.position_mode {
-            PositionMode::Original => rot.sync(cache, |row, slot| {
-                apply_rope_scaled(row, positions[slot] as f32 * rope_scale, ROPE_BASE);
-            }),
-            PositionMode::Remapped => rot.sync(cache, |row, slot| {
-                apply_rope_scaled(row, slot as f32 * rope_scale, ROPE_BASE);
-            }),
-        }
+    if let Some(rope) = rope {
+        sync_rotations(rot, cache, rope, config.position_mode);
     }
 
     let AttnScratch {
@@ -875,19 +879,17 @@ pub(crate) fn attend_single_query_ws(
 
     for head in 0..num_heads {
         q_head.copy_from_slice(&query[head * head_dim..(head + 1) * head_dim]);
-        if config.positional == PositionalEncoding::Rope {
-            apply_rope_scaled(
-                q_head,
-                effective_query_pos as f32 * config.rope_scale,
-                ROPE_BASE,
-            );
+        if let Some(rope) = rope {
+            rope.rotate(q_head, effective_query_pos);
         }
         let slope = alibi_slopes[head];
         logits.clear();
         match config.positional {
             PositionalEncoding::Rope => {
-                for slot in 0..live {
-                    logits.push(dot(q_head, rot.row(head, slot)) * scale);
+                // Per-block score GEMV, then the same `dot * scale` per slot.
+                rot.for_each_block(head, live, |keys| dot_rows_into(keys, q_head, logits));
+                for logit in logits.iter_mut() {
+                    *logit *= scale;
                 }
             }
             PositionalEncoding::Alibi => {
@@ -1009,6 +1011,7 @@ mod tests {
                 };
                 let legacy = attend_single_query(&config, 0, &q, 9, &cache, &mut legacy_ctx);
 
+                let model = TransformerModel::new(config).unwrap();
                 let mut ws = ForwardWorkspace::new(&config, cache.block_size());
                 let mut ws_policy = FullAttention::new();
                 let mut ws_ctx = AttentionContext {
@@ -1020,6 +1023,7 @@ mod tests {
                 };
                 attend_single_query_ws(
                     &config,
+                    model.rope_table(),
                     0,
                     &q,
                     9,
@@ -1066,6 +1070,7 @@ mod tests {
         let config = ModelConfig::tiny();
         let cache = filled_cache(&config, 7);
         let q = query(&config);
+        let model = TransformerModel::new(config).unwrap();
         let mut ws = ForwardWorkspace::new(&config, cache.block_size());
         let run = |ws: &mut ForwardWorkspace| {
             let mut policy = FullAttention::new();
@@ -1078,6 +1083,7 @@ mod tests {
             };
             attend_single_query_ws(
                 &config,
+                model.rope_table(),
                 0,
                 &q,
                 7,

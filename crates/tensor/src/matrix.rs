@@ -1,5 +1,6 @@
 //! Row-major dense `f32` matrix.
 
+use crate::vector::dot_rows_into;
 use crate::TensorError;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +41,9 @@ const GEMM_NR: usize = 16;
 /// `row.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()` reduction used by
 /// [`Matrix::matvec`] — the contract that lets the chunk-batched prefill path
 /// reproduce the sequential path's tokens exactly. Register blocking only
-/// reorders *independent* chains, never splits one.
+/// reorders *independent* chains, never splits one. Each chain is seeded
+/// with `-0.0`, the additive identity `Iterator::sum` starts from, so even an
+/// all-`-0.0` product chain keeps its sign.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_tile(
@@ -58,7 +61,7 @@ fn gemm_tile(
     k: usize,
 ) {
     debug_assert!(mr <= GEMM_MR && nr <= GEMM_NR);
-    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+    let mut acc = [[-0.0f32; GEMM_NR]; GEMM_MR];
     if nr == GEMM_NR {
         // Full-width tile: fixed-length inner loop, so the adds vectorize.
         for kk in 0..k {
@@ -450,12 +453,9 @@ impl Matrix {
         }
         out.clear();
         if count == 1 {
-            // A single vector gains nothing from panel packing; use the plain
-            // dot-product reduction (identical bits, no packing traffic).
-            out.extend(
-                self.iter_rows()
-                    .map(|row| row.iter().zip(xs).map(|(a, b)| a * b).sum::<f32>()),
-            );
+            // A single vector gains nothing from panel packing; use the GEMV
+            // kernel (identical bits, no packing traffic).
+            dot_rows_into(&self.data, xs, out);
             return Ok(());
         }
         let (rows, cols) = (self.rows, self.cols);
@@ -508,9 +508,9 @@ impl Matrix {
 
     /// Matrix-vector product `self * v` written into a caller-owned buffer.
     ///
-    /// Bit-identical to [`Matrix::matvec`] (same per-row `zip`/`sum` reduction
-    /// order); performs no heap allocation when `out` already has capacity for
-    /// `rows` elements.
+    /// Bit-identical to [`Matrix::matvec`] (same per-row ascending-column
+    /// chain), but advances four rows per pass; performs no heap allocation
+    /// when `out` already has capacity for `rows` elements.
     ///
     /// # Errors
     ///
@@ -524,10 +524,7 @@ impl Matrix {
             });
         }
         out.clear();
-        out.extend(
-            self.iter_rows()
-                .map(|row| row.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()),
-        );
+        dot_rows_into(&self.data, v, out);
         Ok(())
     }
 
@@ -744,6 +741,50 @@ mod tests {
                         &batched[i * rows..(i + 1) * rows],
                         single.as_slice(),
                         "diverged at {rows}x{cols}, count {count}, vector {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gemm_tile_keeps_the_sign_of_an_all_negative_zero_chain() {
+        // Every product is -0.0 (0 * negative) or +0.0 (0 * positive); a
+        // chain seeded with +0.0 would turn the first row's -0.0 into +0.0.
+        let w = Matrix::from_rows(&[vec![-1.0, -2.0], vec![3.0, 4.0]]);
+        let xs = [0.0f32; 4];
+        let mut batched = Vec::new();
+        let mut pack = Vec::new();
+        w.matvec_batch_into(&xs, 2, &mut batched, &mut pack)
+            .unwrap();
+        let mut single = Vec::new();
+        w.matvec_into(&xs[..2], &mut single).unwrap();
+        assert_eq!(single[0].to_bits(), 0x8000_0000);
+        assert_eq!(bits(&batched[..2]), bits(&single));
+        assert_eq!(bits(&batched[2..]), bits(&single));
+        assert_eq!(bits(&single), bits(&w.matvec(&xs[..2]).unwrap()));
+    }
+
+    #[test]
+    fn matvec_into_is_bit_identical_to_matvec_across_row_counts() {
+        let mut seed = 0x0dd_5eed;
+        // Row counts below, at and past the four-row panel exercise the
+        // remainder rows; the all-zero input makes every chain a signed zero.
+        for rows in 0..10 {
+            for cols in [1usize, 3, 8, 13] {
+                let w = lcg_matrix(rows, cols, &mut seed);
+                let v = lcg_matrix(1, cols, &mut seed);
+                let mut out = vec![7.0; 3];
+                for input in [v.row(0).to_vec(), vec![0.0; cols]] {
+                    w.matvec_into(&input, &mut out).unwrap();
+                    assert_eq!(
+                        bits(&out),
+                        bits(&w.matvec(&input).unwrap()),
+                        "diverged at {rows}x{cols}"
                     );
                 }
             }

@@ -52,6 +52,28 @@ pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
     }
 }
 
+/// [`softmax`] computed in place over `xs`, for callers that build the
+/// logits in a scratch buffer they own. Same arithmetic as [`softmax`], so the
+/// bits match.
+pub fn softmax_in_place(xs: &mut [f32]) {
+    if xs.is_empty() {
+        return;
+    }
+    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for x in xs.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f32 = xs.iter().sum();
+    if sum == 0.0 || !sum.is_finite() {
+        // All logits were -inf (fully masked) or overflowed: fall back to uniform.
+        xs.fill(1.0 / xs.len() as f32);
+        return;
+    }
+    for e in xs.iter_mut() {
+        *e /= sum;
+    }
+}
+
 /// Softmax with a temperature parameter `tau`.
 ///
 /// `tau -> 0` sharpens the distribution towards an argmax, `tau -> inf` flattens it
@@ -317,6 +339,25 @@ mod tests {
         for logits in cases {
             softmax_into(logits, &mut out);
             assert_eq!(out, softmax(logits), "diverged on {logits:?}");
+        }
+    }
+
+    #[test]
+    fn softmax_in_place_is_bit_identical_to_softmax() {
+        let cases: &[&[f32]] = &[
+            &[1.0, 2.0, 3.0],
+            &[-1.0e30, 0.0],
+            &[f32::NEG_INFINITY, f32::NEG_INFINITY],
+            &[],
+            &[0.25, -7.5, 3.125, 3.125, -0.0],
+            &[f32::INFINITY, 1.0],
+        ];
+        for logits in cases {
+            let mut xs = logits.to_vec();
+            softmax_in_place(&mut xs);
+            let want: Vec<u32> = softmax(logits).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u32> = xs.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "diverged on {logits:?}");
         }
     }
 

@@ -52,13 +52,26 @@ where
     if k == 0 || items.is_empty() {
         return Vec::new();
     }
-    let k = k.min(items.len());
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    // Sort by descending score; ties by ascending index (stable ordering on index).
-    order.sort_by(|&a, &b| cmp_score(key(&items[b]), key(&items[a])).then_with(|| a.cmp(&b)));
-    let mut selected: Vec<usize> = order.into_iter().take(k).collect();
-    selected.sort_unstable();
-    selected
+    let n = items.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    if k >= n {
+        return order;
+    }
+    // Descending score, ties by ascending index: a strict total order, so
+    // partitioning around the k-th element selects exactly the set a full
+    // sort would put first, in O(n).
+    order.select_nth_unstable_by(k - 1, |&a, &b| {
+        cmp_score(key(&items[b]), key(&items[a])).then_with(|| a.cmp(&b))
+    });
+    // Emit the winners in index order with a linear mark-and-sweep rather
+    // than an O(k log k) sort (eviction keeps nearly every slot).
+    let mut keep = vec![false; n];
+    for &i in &order[..k] {
+        keep[i] = true;
+    }
+    order.clear();
+    order.extend((0..n).filter(|&i| keep[i]));
+    order
 }
 
 /// Returns the single best `(score, index)` pair, or `None` for an empty slice.
@@ -124,6 +137,46 @@ mod tests {
         }
         let toks = vec![Tok { score: 0.1 }, Tok { score: 0.7 }, Tok { score: 0.3 }];
         assert_eq!(top_k_indices_by(&toks, 2, |t| t.score), vec![1, 2]);
+    }
+
+    /// The full-sort selection `top_k_indices_by` used before partitioning.
+    fn sort_reference(scores: &[f32], k: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| cmp_score(scores[b], scores[a]).then_with(|| a.cmp(&b)));
+        let mut selected: Vec<usize> = order.into_iter().take(k).collect();
+        selected.sort_unstable();
+        selected
+    }
+
+    #[test]
+    fn partition_selection_matches_the_sort_reference() {
+        let mut seed = 0x7019_u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for n in [1usize, 2, 5, 17, 64, 257] {
+            for _ in 0..8 {
+                // Few distinct values force ties; ±0.0 and NaN ride along.
+                let scores: Vec<f32> = (0..n)
+                    .map(|_| match next() % 8 {
+                        0 => f32::NAN,
+                        1 => 0.0,
+                        2 => -0.0,
+                        r => (r as f32 - 4.0) * 0.5,
+                    })
+                    .collect();
+                for k in [0, 1, n - 1, n, n + 3] {
+                    assert_eq!(
+                        top_k_indices(&scores, k),
+                        sort_reference(&scores, k),
+                        "n {n}, k {k}, scores {scores:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

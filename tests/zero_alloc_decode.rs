@@ -7,7 +7,9 @@
 //! request up front) and a few warm-up decode steps have filled the
 //! fixed-capacity scratch buffers and crossed the first block boundary, the
 //! counter is armed and several more decode steps run entirely inside one KV
-//! block. The assertion is exact: not "few allocations", zero.
+//! block. The assertion is exact: not "few allocations", zero. It holds for
+//! Full attention and for Keyformer without a budget, whose per-head scoring
+//! (Gumbel draw, temperature softmax, accumulation) runs in a reused buffer.
 //!
 //! The window deliberately avoids the two places the hot path *is* allowed to
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
@@ -20,6 +22,7 @@
 // delegates straight to the system allocator.
 #![allow(unsafe_code)]
 
+use keyformer::core::spec::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::session::Session;
@@ -64,12 +67,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// This file holds exactly one test: the counter is process-global, so a
-/// concurrently running sibling test would pollute the window.
-#[test]
-fn steady_state_workspace_decode_allocates_nothing() {
+/// Decodes one Tiny-model request under `policy` (no cache budget, so no
+/// eviction) and returns the allocations counted over 8 steady-state decode
+/// steps.
+fn counted_decode_allocations(spec: PolicySpec) -> usize {
     let model = ModelFamily::Tiny.build(11);
-    let policy = keyformer::core::spec::PolicySpec::Full.build().unwrap();
+    let policy = spec.build().unwrap();
     let mut session = Session::new(&model, policy, None).with_forward_path(ForwardPath::Workspace);
 
     // One full 16-slot block of prompt; begin() reserves sequence and
@@ -83,7 +86,8 @@ fn steady_state_workspace_decode_allocates_nothing() {
 
     // Warm-up: the first decode forward opens block 1 (an allowed boundary
     // allocation) and later steps settle every scratch buffer at its final
-    // capacity.
+    // capacity — including a scoring policy's per-slot score buckets and
+    // scratch row, which grow past the window's 28 slots here.
     for _ in 0..4 {
         session.step().unwrap();
     }
@@ -98,16 +102,28 @@ fn steady_state_workspace_decode_allocates_nothing() {
     COUNTING.store(false, Ordering::SeqCst);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
 
-    assert_eq!(
-        allocations, 0,
-        "steady-state decode on the workspace path must not touch the \
-         allocator; counted {allocations} allocation(s) over 8 steps"
-    );
-
     // The request itself stayed healthy.
     while session.is_decoding() {
         session.step().unwrap();
     }
     let out = session.take_output().unwrap();
     assert_eq!(out.generated.len(), 14);
+    allocations
+}
+
+/// This file holds exactly one test: the counter is process-global, so a
+/// concurrently running sibling test would pollute the window. It covers
+/// Full attention and Keyformer, whose fused Gumbel scoring runs once per
+/// head per layer per step.
+#[test]
+fn steady_state_workspace_decode_allocates_nothing() {
+    for spec in [PolicySpec::Full, PolicySpec::keyformer_default()] {
+        let label = spec.label();
+        let allocations = counted_decode_allocations(spec);
+        assert_eq!(
+            allocations, 0,
+            "steady-state decode on the workspace path must not touch the \
+             allocator; {label} counted {allocations} allocation(s) over 8 steps"
+        );
+    }
 }
